@@ -3,39 +3,45 @@
 //! The executor enumerates every interleaving of *eligible* operations (an
 //! operation is eligible when every earlier same-thread operation that the
 //! model orders before it has executed) and, on non-multi-copy-atomic
-//! models, every store-propagation schedule. Depth-first search with
-//! memoisation keeps the search finite and fast — litmus tests have a
-//! handful of operations, so state counts stay in the low thousands.
+//! models, every store-propagation schedule. Depth-first search with an
+//! exact visited set keeps the search finite: every reachable state is
+//! expanded once. State counts are not small: they range from 3 (`CoWW`)
+//! to about a million for the costliest 4-thread tests of the generated
+//! corpus (summed over the four models), so the cost of handling one state
+//! is what bounds an oracle pass.
+//!
+//! ## State encoding
+//!
+//! A state is one flat `Vec<u32>`, laid out as
+//!
+//! ```text
+//! executed[thread] | regs[thread][reg] | touched[thread][op] | store*
+//! store = var, val, owner, mask, nprereq, prereq[nprereq]
+//! ```
+//!
+//! `executed` is a bitmask of executed ops per thread; `touched` holds, per
+//! op, the id + 1 of the store it read or wrote (0 = none, or not yet
+//! executed); stores appear in coherence (commit) order, and a store's
+//! id is its position there. `mask` is the set of threads the store has
+//! propagated to, and the prerequisites are the stores that must be visible
+//! to a thread before this one may propagate to it (`lwsync`/`sync`
+//! cumulativity on POWER). For a fixed test the first three sections have
+//! fixed lengths and each store record carries its own length, so the
+//! encoding is injective: two states are equal exactly when their vectors
+//! are. The prerequisites stay an ordered list (the touched stores in
+//! program order, repeats included) rather than a set: a set could merge
+//! two states that differ only in the list's order or repeats, and
+//! `states_visited` would then count something other than the states of
+//! the semantics.
+//!
+//! Everything that depends only on the test and the model — which earlier
+//! ops each op waits for, and which ops' stores become a store's
+//! prerequisites — is tabulated once per [`explore`] call, so handling a
+//! state touches only the state's own words.
 
 use std::collections::HashSet;
 
 use crate::ops::{FClass, LOp, LitmusTest, ModelKind, Outcome};
-
-/// A committed store in coherence order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct StoreRec {
-    var: usize,
-    val: u32,
-    owner: usize,
-    /// Bitmask of threads this store has propagated to.
-    mask: u32,
-    /// Stores (by id) that must be visible to a thread before this one may
-    /// propagate to it — `lwsync`/`sync` cumulativity on POWER.
-    prereqs: Vec<usize>,
-}
-
-/// Search state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct State {
-    /// Bitmask of executed ops per thread.
-    executed: Vec<u32>,
-    /// Register files, one per thread.
-    regs: Vec<Vec<u32>>,
-    /// Committed stores in coherence (commit) order.
-    stores: Vec<StoreRec>,
-    /// For each thread/op: the store id it read or wrote (for group-A sets).
-    touched: Vec<Vec<Option<usize>>>,
-}
 
 /// The set of reachable final states of a litmus test: register files plus
 /// the final memory value of every variable (the last store in coherence
@@ -45,7 +51,10 @@ pub struct OutcomeSet {
     /// Final `(registers, memory)` pairs: registers are one inner vec per
     /// thread indexed by register; memory is indexed by variable.
     pub finals: HashSet<(Vec<Vec<u32>>, Vec<u32>)>,
-    /// Number of distinct states visited (for curiosity/diagnostics).
+    /// Number of distinct states reachable from the initial state, the
+    /// initial and final states included. It is an exact property of the
+    /// test's state graph under the model, independent of search order, so
+    /// tests pin it and the benchmark divides explorer time by it.
     pub states_visited: usize,
 }
 
@@ -179,167 +188,302 @@ impl ExploreCache {
     }
 }
 
-struct Explorer<'t> {
-    test: &'t LitmusTest,
-    model: ModelKind,
-    all_mask: u32,
-    num_vars: usize,
-    seen: HashSet<State>,
-    finals: HashSet<(Vec<Vec<u32>>, Vec<u32>)>,
+/// Exact set of flat states, stored back to back in one arena and found
+/// through an open-addressing table of ids, so inserting a state allocates
+/// nothing of its own. The hash is a multiply-rotate over the words, two
+/// at a time (the `FxHash` scheme): keys are short vectors built by this
+/// module, not outside input, so it need not be `SipHash`. Keys are
+/// compared word for word, so a collision costs a probe, never a state.
+#[derive(Default)]
+struct StateSet {
+    words: Vec<u32>,
+    /// Per id: where its words start (they end where the next id's start).
+    starts: Vec<usize>,
+    /// Per id: its hash, compared before its words and reused on growth.
+    hashes: Vec<u64>,
+    /// `id + 1` per slot, 0 for an empty slot; a power of two, at most half
+    /// full.
+    slots: Vec<u32>,
 }
 
-impl Explorer<'_> {
-    /// Latest visible store id for `var` as seen by `thread`, if any.
-    fn latest_visible(st: &State, thread: usize, var: usize) -> Option<usize> {
-        st.stores
+impl StateSet {
+    fn hash(key: &[u32]) -> u64 {
+        let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        let mut pairs = key.chunks_exact(2);
+        let h = (&mut pairs).fold(key.len() as u64, |h, w| {
+            mix(h, u64::from(w[0]) | u64::from(w[1]) << 32)
+        });
+        pairs
+            .remainder()
+            .iter()
+            .fold(h, |h, &w| mix(h, u64::from(w)))
+    }
+
+    /// The first slot to probe: the hash's top bits, its best mixed.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    fn get(&self, id: usize) -> &[u32] {
+        let end = self.starts.get(id + 1).copied().unwrap_or(self.words.len());
+        &self.words[self.starts[id]..end]
+    }
+
+    /// Insert `key`, returning its id, or `None` if it is already present.
+    fn insert(&mut self, key: &[u32]) -> Option<usize> {
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let hash = Self::hash(key);
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        while let Some(id) = self.slots[slot].checked_sub(1) {
+            let id = id as usize;
+            if self.hashes[id] == hash && self.get(id) == key {
+                return None;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let id = self.len();
+        self.slots[slot] = u32::try_from(id + 1).expect("state ids fit in u32");
+        self.starts.push(self.words.len());
+        self.hashes.push(hash);
+        self.words.extend_from_slice(key);
+        Some(id)
+    }
+
+    fn grow(&mut self) {
+        self.slots = vec![0; (2 * self.slots.len()).max(64)];
+        let mask = self.slots.len() - 1;
+        for id in 0..self.len() {
+            let mut slot = self.home(self.hashes[id]);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id as u32 + 1;
+        }
+    }
+}
+
+/// Offsets of a store record's fields (see the module docs).
+const VAR: usize = 0;
+const VAL: usize = 1;
+const MASK: usize = 3;
+const NPREREQ: usize = 4;
+const STORE_HEADER: usize = 5;
+
+/// The test and model, tabulated for the search: state layout offsets and,
+/// per op, everything that does not depend on the state.
+struct Explorer<'t> {
+    test: &'t LitmusTest,
+    mca: bool,
+    all_mask: u32,
+    num_vars: usize,
+    /// Where each thread's registers start in a state, then where the
+    /// registers end (`nthreads + 1` entries).
+    reg_base: Vec<usize>,
+    /// Where each thread's `touched` entries start, then where they end and
+    /// the first store record starts (`nthreads + 1` entries).
+    touch_base: Vec<usize>,
+    /// Per thread, per op: the earlier ops the model orders before it.
+    block: Vec<Vec<u32>>,
+    /// Per thread, per op: a store's prerequisites (non-MCA models only)
+    /// are the stores touched by the ops before this index — the store
+    /// itself when it is a release, else the latest `Full`/`LwSync` marker
+    /// before it, or 0 (no prerequisites) when there is none.
+    group_a_bound: Vec<Vec<usize>>,
+}
+
+impl<'t> Explorer<'t> {
+    fn new(test: &'t LitmusTest, model: ModelKind) -> Self {
+        let nthreads = test.threads.len();
+        let mut reg_base = vec![nthreads];
+        for ops in &test.threads {
+            let nregs = ops
+                .iter()
+                .filter_map(|o| match o {
+                    LOp::Load { reg, .. } => Some(*reg + 1),
+                    _ => None,
+                })
+                .max()
+                .unwrap_or(0);
+            reg_base.push(reg_base[reg_base.len() - 1] + nregs);
+        }
+        let mut touch_base = vec![reg_base[nthreads]];
+        for ops in &test.threads {
+            touch_base.push(touch_base[touch_base.len() - 1] + ops.len());
+        }
+        let block = (0..nthreads)
+            .map(|t| {
+                (0..test.threads[t].len())
+                    .map(|j| {
+                        (0..j)
+                            .filter(|&i| test.ordered(model, t, i, j))
+                            .fold(0u32, |m, i| m | 1 << i)
+                    })
+                    .collect()
+            })
+            .collect();
+        let group_a_bound = test
+            .threads
+            .iter()
+            .map(|ops| {
+                let cumulative = |op: &LOp| matches!(op, LOp::Fence(FClass::Full | FClass::LwSync));
+                (0..ops.len())
+                    .map(|j| match ops[j] {
+                        LOp::Store { release: true, .. } => j,
+                        _ => ops[..j].iter().rposition(cumulative).unwrap_or(0),
+                    })
+                    .collect()
+            })
+            .collect();
+        Explorer {
+            test,
+            mca: model.multi_copy_atomic(),
+            all_mask: (1u32 << nthreads) - 1,
+            num_vars: test.num_vars(),
+            reg_base,
+            touch_base,
+            block,
+            group_a_bound,
+        }
+    }
+
+    /// Offset of the first store record: the length of the initial state.
+    fn stores_base(&self) -> usize {
+        self.touch_base[self.test.threads.len()]
+    }
+
+    /// Group-A store ids of thread `t` before op `upto`: every store the
+    /// thread has read or written at earlier executed ops, in program
+    /// order. Only executed ops have a non-zero `touched` entry.
+    fn group_a<'s>(&self, st: &'s [u32], t: usize, upto: usize) -> impl Iterator<Item = u32> + 's {
+        st[self.touch_base[t]..self.touch_base[t] + upto]
+            .iter()
+            .filter(|&&sid| sid != 0)
+            .map(|&sid| sid - 1)
+    }
+
+    fn done(&self, st: &[u32]) -> bool {
+        self.test
+            .threads
             .iter()
             .enumerate()
-            .rev()
-            .find(|(_, s)| s.var == var && s.mask & (1 << thread) != 0)
-            .map(|(i, _)| i)
+            .all(|(t, ops)| st[t].count_ones() as usize == ops.len())
     }
 
-    /// Is op `(t, j)` eligible to execute?
-    fn eligible(&self, st: &State, t: usize, j: usize) -> bool {
-        if st.executed[t] & (1 << j) != 0 {
-            return false;
+    /// Final registers followed by final memory (the last store per
+    /// variable in coherence order).
+    fn final_key(&self, st: &[u32], stores: &[usize]) -> Vec<u32> {
+        let nthreads = self.test.threads.len();
+        let mut key = st[nthreads..self.reg_base[nthreads]].to_vec();
+        let mem = key.len();
+        key.resize(mem + self.num_vars, 0);
+        for &o in stores {
+            key[mem + st[o + VAR] as usize] = st[o + VAL];
         }
-        for i in 0..j {
-            if st.executed[t] & (1 << i) == 0 && self.test.ordered(self.model, t, i, j) {
-                return false;
-            }
-        }
-        true
+        key
     }
 
-    /// Group-A store set for an op at index `j` of thread `t`: everything the
-    /// thread has read or written at earlier (executed) ops. Used by `Full`
-    /// fences (wait for global propagation) and, restricted to ops before
-    /// the latest cumulative fence, as store prerequisites.
-    fn group_a(st: &State, t: usize, upto: usize) -> Vec<usize> {
-        (0..upto)
-            .filter(|&i| st.executed[t] & (1 << i) != 0)
-            .filter_map(|i| st.touched[t][i])
-            .collect()
-    }
-
-    // One arm per op shape; splitting the match would scatter the model
-    // semantics across helpers.
-    #[allow(clippy::too_many_lines)]
-    fn step(&mut self, st: &State) {
-        if !self.seen.insert(st.clone()) {
-            return;
-        }
-        let done = (0..self.test.threads.len())
-            .all(|t| st.executed[t].count_ones() as usize == self.test.threads[t].len());
-        if done {
-            // Final memory: the last store per variable in coherence order.
-            let mut mem = vec![0u32; self.num_vars];
-            for s in &st.stores {
-                mem[s.var] = s.val;
-            }
-            self.finals.insert((st.regs.clone(), mem));
-            return;
-        }
-
+    /// Build every successor of the non-final state `st` in `next` and
+    /// hand it to `visit`. `stores` holds the offset of each store record
+    /// in `st`.
+    fn successors(
+        &self,
+        st: &[u32],
+        stores: &[usize],
+        next: &mut Vec<u32>,
+        mut visit: impl FnMut(&[u32]),
+    ) {
         // 1. Execute any eligible op of any thread.
-        for t in 0..self.test.threads.len() {
-            for j in 0..self.test.threads[t].len() {
-                if !self.eligible(st, t, j) {
+        for (t, ops) in self.test.threads.iter().enumerate() {
+            let executed = st[t];
+            for (j, op) in ops.iter().enumerate() {
+                let bit = 1u32 << j;
+                if executed & bit != 0 || self.block[t][j] & !executed != 0 {
                     continue;
                 }
-                match self.test.threads[t][j] {
-                    LOp::Fence(FClass::Full) => {
-                        // On POWER a sync waits until its group-A stores have
-                        // propagated everywhere (cumulativity). Elsewhere the
-                        // condition is vacuous.
-                        let ready = Self::group_a(st, t, j)
-                            .into_iter()
-                            .all(|sid| st.stores[sid].mask == self.all_mask);
-                        if !ready {
-                            continue;
-                        }
-                        let mut next = st.clone();
-                        next.executed[t] |= 1 << j;
-                        self.step(&next);
+                if let LOp::Fence(FClass::Full) = op {
+                    // On POWER a sync waits until its group-A stores have
+                    // propagated everywhere (cumulativity). Elsewhere the
+                    // condition is vacuous.
+                    if !self.mca
+                        && !self
+                            .group_a(st, t, j)
+                            .all(|sid| st[stores[sid as usize] + MASK] == self.all_mask)
+                    {
+                        continue;
                     }
-                    LOp::Fence(_) => {
-                        // Weak markers are ordering annotations only.
-                        let mut next = st.clone();
-                        next.executed[t] |= 1 << j;
-                        self.step(&next);
-                    }
+                }
+                next.clear();
+                next.extend_from_slice(st);
+                next[t] |= bit;
+                let touched = self.touch_base[t] + j;
+                match *op {
+                    // Weak markers are ordering annotations only.
+                    LOp::Fence(_) => {}
                     LOp::Load { var, reg, .. } => {
-                        let mut next = st.clone();
-                        next.executed[t] |= 1 << j;
-                        let sid = Self::latest_visible(st, t, var);
-                        next.regs[t][reg] = sid.map_or(0, |i| st.stores[i].val);
-                        next.touched[t][j] = sid;
-                        self.step(&next);
+                        let var = var as u32;
+                        let latest =
+                            stores.iter().enumerate().rev().find(|&(_, &o)| {
+                                st[o + VAR] == var && st[o + MASK] & (1 << t) != 0
+                            });
+                        if let Some((sid, &o)) = latest {
+                            next[self.reg_base[t] + reg] = st[o + VAL];
+                            next[touched] = sid as u32 + 1;
+                        } else {
+                            next[self.reg_base[t] + reg] = 0;
+                        }
                     }
-                    LOp::Store { var, val, release } => {
-                        let mut next = st.clone();
-                        next.executed[t] |= 1 << j;
+                    LOp::Store { var, val, .. } => {
                         // Cumulative barriers: a store after an lwsync/sync
                         // may propagate to a thread only after everything its
                         // thread knew before the barrier has. A release store
                         // (lowered as `lwsync; st` on POWER) is cumulative
                         // over everything program-before itself.
-                        let prereqs = if self.model.multi_copy_atomic() {
-                            vec![]
-                        } else if release {
-                            Self::group_a(st, t, j)
+                        let (mask, upto) = if self.mca {
+                            (self.all_mask, 0)
                         } else {
-                            let barrier = (0..j).rev().find(|&i| {
-                                matches!(
-                                    self.test.threads[t][i],
-                                    LOp::Fence(FClass::Full | FClass::LwSync)
-                                )
-                            });
-                            match barrier {
-                                Some(b) => Self::group_a(st, t, b),
-                                None => vec![],
-                            }
+                            (1 << t, self.group_a_bound[t][j])
                         };
-                        let mask = if self.model.multi_copy_atomic() {
-                            self.all_mask
-                        } else {
-                            1 << t
-                        };
-                        let sid = next.stores.len();
-                        next.stores.push(StoreRec {
-                            var,
-                            val,
-                            owner: t,
-                            mask,
-                            prereqs,
-                        });
-                        next.touched[t][j] = Some(sid);
-                        self.step(&next);
+                        next[touched] = stores.len() as u32 + 1;
+                        let nprereq = next.len() + NPREREQ;
+                        next.extend_from_slice(&[var as u32, val, t as u32, mask, 0]);
+                        next.extend(self.group_a(st, t, upto));
+                        next[nprereq] = (next.len() - nprereq - 1) as u32;
                     }
                 }
+                visit(next);
             }
         }
 
         // 2. Propagate a store to one more thread (non-MCA models only).
-        if !self.model.multi_copy_atomic() {
-            for sid in 0..st.stores.len() {
-                let s = &st.stores[sid];
-                if s.mask == self.all_mask {
+        if self.mca {
+            return;
+        }
+        for &o in stores {
+            let mask = st[o + MASK];
+            if mask == self.all_mask {
+                continue;
+            }
+            let prereqs = &st[o + STORE_HEADER..o + STORE_HEADER + st[o + NPREREQ] as usize];
+            for u in 0..self.test.threads.len() {
+                let ubit = 1u32 << u;
+                if mask & ubit != 0
+                    || !prereqs
+                        .iter()
+                        .all(|&p| st[stores[p as usize] + MASK] & ubit != 0)
+                {
                     continue;
                 }
-                for u in 0..self.test.threads.len() {
-                    if s.mask & (1 << u) != 0 {
-                        continue;
-                    }
-                    let ok = s.prereqs.iter().all(|&p| st.stores[p].mask & (1 << u) != 0);
-                    if !ok {
-                        continue;
-                    }
-                    let mut next = st.clone();
-                    next.stores[sid].mask |= 1 << u;
-                    self.step(&next);
-                }
+                next.clear();
+                next.extend_from_slice(st);
+                next[o + MASK] |= ubit;
+                visit(next);
             }
         }
     }
@@ -361,43 +505,47 @@ pub fn explore(test: &LitmusTest, model: ModelKind) -> OutcomeSet {
             "per-thread op count limited by bitmask width"
         );
     }
-    let regs: Vec<Vec<u32>> = test
-        .threads
-        .iter()
-        .map(|ops| {
-            let n = ops
-                .iter()
-                .filter_map(|o| match o {
-                    LOp::Load { reg, .. } => Some(*reg + 1),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            vec![0; n]
+    let ex = Explorer::new(test, model);
+    let mut seen = StateSet::default();
+    let mut finals = StateSet::default();
+    seen.insert(&vec![0u32; ex.stores_base()]);
+    let mut stack = vec![0];
+    let (mut st, mut next, mut stores) = (Vec::new(), Vec::new(), Vec::new());
+    while let Some(id) = stack.pop() {
+        st.clear();
+        st.extend_from_slice(seen.get(id));
+        stores.clear();
+        let mut o = ex.stores_base();
+        while o < st.len() {
+            stores.push(o);
+            o += STORE_HEADER + st[o + NPREREQ] as usize;
+        }
+        if ex.done(&st) {
+            finals.insert(&ex.final_key(&st, &stores));
+            continue;
+        }
+        ex.successors(&st, &stores, &mut next, |s| {
+            if let Some(id) = seen.insert(s) {
+                stack.push(id);
+            }
+        });
+    }
+
+    // A final key is the state's registers (offset by the `executed`
+    // section before them) followed by memory.
+    let reg = |t: usize| ex.reg_base[t] - nthreads;
+    let finals = (0..finals.len())
+        .map(|id| {
+            let key = finals.get(id);
+            let regs = (0..nthreads)
+                .map(|t| key[reg(t)..reg(t + 1)].to_vec())
+                .collect();
+            (regs, key[reg(nthreads)..].to_vec())
         })
         .collect();
-    let init = State {
-        executed: vec![0; nthreads],
-        regs,
-        stores: vec![],
-        touched: test
-            .threads
-            .iter()
-            .map(|ops| vec![None; ops.len()])
-            .collect(),
-    };
-    let mut ex = Explorer {
-        test,
-        model,
-        all_mask: (1u32 << nthreads) - 1,
-        num_vars: test.num_vars(),
-        seen: HashSet::new(),
-        finals: HashSet::new(),
-    };
-    ex.step(&init);
     OutcomeSet {
-        states_visited: ex.seen.len(),
-        finals: ex.finals,
+        states_visited: seen.len(),
+        finals,
     }
 }
 

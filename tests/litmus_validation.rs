@@ -95,17 +95,13 @@ fn fence_kinds_map_to_the_classes_the_explorer_enforces() {
 
 #[test]
 fn exploration_visits_reasonable_state_counts() {
-    // Sanity on the memoisation: SB under SC is tiny; IRIW under POWER is
-    // the largest shape but still bounded.
+    // Each reachable state is counted once, so the counts are exact
+    // properties of the state graph: SB under SC is tiny, IRIW+addrs under
+    // POWER (store propagation one thread at a time) about 180x larger.
     let sb = wmm::wmm_litmus::suite::store_buffering();
     let small = explore(&sb.test, ModelKind::Sc);
-    assert!(small.states_visited < 200, "{}", small.states_visited);
+    assert_eq!(small.states_visited, 17);
     let iriw = wmm::wmm_litmus::suite::iriw_addrs();
     let big = explore(&iriw.test, ModelKind::Power);
-    assert!(
-        big.states_visited < 2_000_000,
-        "IRIW/POWER exploded: {}",
-        big.states_visited
-    );
-    assert!(big.states_visited > small.states_visited);
+    assert_eq!(big.states_visited, 3049, "IRIW/POWER state count");
 }
