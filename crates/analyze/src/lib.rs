@@ -61,6 +61,5 @@ pub use synth::{
     DEFAULT_NODE_BUDGET,
 };
 pub use wps::{
-    critical_cycles_wps, critical_cycles_wps_metered, synthesize_wps, synthesize_wps_metered,
-    CycleCache, WpsConfig, WpsMetrics, WpsReport, WpsTier,
+    critical_cycles_wps, synthesize_wps, CycleCache, WpsConfig, WpsMetrics, WpsReport, WpsTier,
 };

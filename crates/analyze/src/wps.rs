@@ -166,15 +166,23 @@ impl WpsMetrics {
         }
     }
 
-    fn record_components(&self, comps: &[Vec<usize>]) {
+    /// Record a [`critical_cycles_wps`] run on `g`: its decomposition and
+    /// the number of cycles enumerated.
+    pub fn record_cycles(&self, g: &ProgramGraph, cycles: usize) {
+        let comps = conflict_components(g);
         self.components.add(comps.len() as u64);
-        for c in comps {
+        for c in &comps {
             #[allow(clippy::cast_precision_loss)] // components hold ≤ threads
             self.component_size.observe(c.len() as f64);
         }
+        self.cycles_enumerated.add(cycles as u64);
     }
 
-    fn record_report(&self, report: &WpsReport) {
+    /// Record a [`synthesize_wps`] report on `g`: decomposition, cycle,
+    /// open-cycle and leg counts, solver nodes, tier outcome and priced
+    /// gap.
+    pub fn record_synthesis(&self, g: &ProgramGraph, report: &WpsReport) {
+        self.record_cycles(g, report.cycles);
         self.open_cycles.add(report.open_cycles as u64);
         self.legs.add(report.legs as u64);
         self.solver_nodes.add(report.nodes);
@@ -333,25 +341,6 @@ pub fn critical_cycles_wps(
     dedup_cycles(merged)
 }
 
-/// [`critical_cycles_wps`], recording the decomposition and cycle counts
-/// into `metrics` when one is supplied. The returned cycle set is
-/// identical either way — the metered variant exists so instrumented
-/// campaigns keep the uninstrumented function's signature untouched.
-#[must_use]
-pub fn critical_cycles_wps_metered(
-    g: &ProgramGraph,
-    threads: Option<usize>,
-    cache: Option<&CycleCache>,
-    metrics: Option<&WpsMetrics>,
-) -> Vec<CriticalCycle> {
-    let cycles = critical_cycles_wps(g, threads, cache);
-    if let Some(m) = metrics {
-        m.record_components(&conflict_components(g));
-        m.cycles_enumerated.add(cycles.len() as u64);
-    }
-    cycles
-}
-
 /// Tiered whole-program synthesis over the parallel-enumerated cycle set.
 ///
 /// Every instance runs the reorder-bounded greedy tier; instances whose
@@ -418,30 +407,6 @@ pub fn synthesize_wps(
         &SolverOptions::exact(wps.node_budget),
     )?;
     apply_exact_tier(&mut report, outcome);
-    Ok(report)
-}
-
-/// [`synthesize_wps`], recording the full report — decomposition, cycle,
-/// open-cycle and leg counts, solver nodes, tier outcome and priced gap —
-/// into `metrics` when one is supplied.
-///
-/// # Errors
-///
-/// As for [`synthesize_wps`].
-pub fn synthesize_wps_metered(
-    g: &ProgramGraph,
-    cfg: SynthConfig,
-    costs: &CostModel,
-    wps: &WpsConfig,
-    cache: Option<&CycleCache>,
-    metrics: Option<&WpsMetrics>,
-) -> Result<WpsReport, SynthError> {
-    let report = synthesize_wps(g, cfg, costs, wps, cache)?;
-    if let Some(m) = metrics {
-        m.record_components(&conflict_components(g));
-        m.cycles_enumerated.add(report.cycles as u64);
-        m.record_report(&report);
-    }
     Ok(report)
 }
 
@@ -631,7 +596,8 @@ mod tests {
         let reg = MetricsRegistry::new();
         let metrics = WpsMetrics::register(&reg);
         let plain = critical_cycles_wps(&u, Some(2), None);
-        let metered = critical_cycles_wps_metered(&u, Some(2), None, Some(&metrics));
+        let metered = critical_cycles_wps(&u, Some(2), None);
+        metrics.record_cycles(&u, metered.len());
         assert_eq!(format!("{plain:?}"), format!("{metered:?}"));
         let snap = reg.snapshot();
         assert_eq!(snap.counter("wps.components"), Some(2));
@@ -640,9 +606,8 @@ mod tests {
             Some(plain.len() as u64)
         );
 
-        let report =
-            synthesize_wps_metered(&u, cfg, &costs, &WpsConfig::default(), None, Some(&metrics))
-                .expect("synth");
+        let report = synthesize_wps(&u, cfg, &costs, &WpsConfig::default(), None).expect("synth");
+        metrics.record_synthesis(&u, &report);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("wps.tier.exact"), Some(1));
         assert_eq!(

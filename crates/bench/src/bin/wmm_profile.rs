@@ -1,7 +1,7 @@
 //! `wmm_profile` — per-site stall profiles of whole campaigns.
 //!
 //! Runs a campaign with per-site observability enabled (every measurement
-//! batch goes through `Machine::run_sited`), folds the stall records into
+//! batch runs as sited `SimJob`s), folds the stall records into
 //! a per-site profile keyed by stable site names, and reports where the
 //! cycles went: fence-kind stall, store-buffer stall, exposed memory time,
 //! residual compute.

@@ -107,9 +107,12 @@ pub fn cli_trace() -> Option<std::path::PathBuf> {
         .map(Into::into)
 }
 
-/// The `results/` directory (created if needed).
+/// The `results/` directory under the working directory (created if
+/// needed). The campaign binaries run from the repository root, so their
+/// output lands in the repository's `results/`; a build copied elsewhere
+/// writes where it runs, never into the tree it was compiled from.
 pub fn results_dir() -> std::path::PathBuf {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let dir = std::path::PathBuf::from("results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
@@ -1194,6 +1197,17 @@ pub fn fig_dstruct_manifest_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn output_paths_resolve_against_the_working_directory() {
+        let results = results_dir();
+        assert_eq!(results, std::path::Path::new("results"));
+        assert!(results.is_relative(), "no build-time absolute prefix");
+        assert!(!results.starts_with(env!("CARGO_MANIFEST_DIR")));
+        assert_eq!(runs_dir(), std::path::Path::new("results/runs"));
+        // Only succeeds if the test itself created the (empty) directory.
+        let _ = std::fs::remove_dir(&results);
+    }
 
     #[test]
     fn envelopes_cover_all_paths() {

@@ -3,7 +3,7 @@
 //!
 //! Where [`crate::experiments`] answers "what does this strategy cost
 //! per *fence kind*", this module answers "which *site* paid it": every
-//! measurement batch runs through `Machine::run_sited`, the per-sample
+//! measurement batch runs as sited `SimJob`s, the per-sample
 //! [`SiteStall`] records are folded into a [`Profile`] keyed by the stable
 //! site names a [`SiteMap`] assigns, and whole campaigns (all DaCapo or
 //! kernel benchmarks under one strategy) merge into a single name-prefixed

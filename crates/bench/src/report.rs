@@ -24,9 +24,7 @@
 //! projections are byte-identical (asserted in this module's tests), which
 //! is what makes the committed baseline meaningful.
 
-use wmm_analyze::{
-    synthesize_wps_metered, CostModel, CycleCache, SynthConfig, WpsConfig, WpsMetrics,
-};
+use wmm_analyze::{synthesize_wps, CostModel, CycleCache, SynthConfig, WpsConfig, WpsMetrics};
 use wmm_harness::{CacheStats, ParallelExecutor, RunManifest, SimCache, TraceEvent};
 use wmm_obs::{MetricValue, MetricsRegistry, MetricsSnapshot, SpanLog, SpanRecord};
 use wmmbench::report::Table;
@@ -122,15 +120,15 @@ pub fn collect_report(opts: &ReportOptions) -> Option<RunReport> {
         };
         let bundles = make_bundles(opts.wps_min_tests);
         for b in &bundles {
-            synthesize_wps_metered(
+            let report = synthesize_wps(
                 &b.graph,
                 SynthConfig::for_model(WPS_MODEL),
                 &costs,
                 &wps,
                 Some(&cache),
-                Some(&metrics),
             )
             .expect("bundle synthesis");
+            metrics.record_synthesis(&b.graph, &report);
         }
         bundles.len()
     });

@@ -32,7 +32,7 @@
 
 use wmm_sim::machine::{MachineScratch, Program, WorkloadCtx};
 use wmm_sim::stats::ExecStats;
-use wmm_sim::Machine;
+use wmm_sim::{Machine, NullProbe, SiteStallProbe};
 
 /// One independent simulation cell: everything `Machine::run` needs.
 ///
@@ -47,7 +47,7 @@ pub struct SimJob<'a> {
     pub ctx: WorkloadCtx,
     /// Sample seed.
     pub seed: u64,
-    /// Collect per-site stall attribution (`Machine::run_sited`). Sited
+    /// Collect per-site stall attribution ([`SimJob::run_stats_with`]). Sited
     /// runs produce identical wall times and counters to unsited ones, but
     /// their [`ExecStats`] additionally carries the per-site stall map —
     /// caching executors must treat them as always-miss so the stats are
@@ -70,13 +70,20 @@ impl SimJob<'_> {
     /// [`SimJob::run_stats`] reusing a [`MachineScratch`] arena across jobs
     /// — the executor hot path. Results are bit-identical to
     /// [`SimJob::run_stats`]; only the per-run allocations disappear.
+    ///
+    /// A sited job runs through a [`SiteStallProbe`] and its statistics
+    /// carry `per_site: Some(..)`; every other field is bit-identical to
+    /// the unsited run, which stays monomorphized over [`NullProbe`].
     pub fn run_stats_with(&self, scratch: &mut MachineScratch) -> ExecStats {
+        let (program, ctx, seed) = (&self.program, &self.ctx, self.seed);
         if self.sited {
-            self.machine
-                .run_sited_with(&self.program, &self.ctx, self.seed, scratch)
+            let mut probe = SiteStallProbe::new();
+            let mut stats = self.machine.run_in(program, ctx, seed, &mut probe, scratch);
+            stats.per_site = Some(probe.finish());
+            stats
         } else {
             self.machine
-                .run_with(&self.program, &self.ctx, self.seed, scratch)
+                .run_in(program, ctx, seed, &mut NullProbe, scratch)
         }
     }
 }

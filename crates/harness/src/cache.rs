@@ -9,14 +9,17 @@
 //! a time showed up in campaign dispatch time): two independent 64-bit
 //! lanes keep accidental collisions far below any realistic campaign size.
 //!
-//! The on-disk store is an append-only text file of `key result` pairs;
-//! results are stored as `f64::to_bits` hex so a reloaded value is
-//! bit-identical to the freshly simulated one — caching never changes
-//! experiment output.
+//! One store type serves every content-addressed result: [`TaskCache<V>`],
+//! an in-memory map with hit/miss/put counters. The simulation cache is
+//! [`SimCache`] = `TaskCache<f64>`, the only instance with an on-disk
+//! store: an append-only text file of `key result` lines, results stored
+//! as `f64::to_bits` hex so a reloaded value is bit-identical to the
+//! freshly simulated one — caching never changes experiment output.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -53,8 +56,8 @@ impl Fnv {
 
 /// Two independent lanes (distinct offset bases) hashed in lockstep.
 ///
-/// Public so other content-addressed stores (e.g. the analysis-task cache
-/// in [`crate::jobs`]) key into the same 128-bit space with the same
+/// Public so other content-addressed results (e.g. the analysis tasks run
+/// through [`crate::jobs`]) key into the same 128-bit space with the same
 /// collision odds as the simulation cache.
 pub struct Fnv128(Fnv, Fnv);
 
@@ -195,21 +198,13 @@ pub fn job_key(job: &SimJob<'_>) -> u128 {
     h.finish()
 }
 
-/// The on-disk lane of a cache: the backing file plus its own append lock,
-/// so disk I/O never holds up readers of the in-memory map.
-struct DiskLane {
-    path: PathBuf,
-    append: Mutex<()>,
-}
-
-/// Operational counters of a content-addressed cache, shared between the
-/// simulation cache and the generic task cache ([`crate::TaskCache`]).
+/// Operational counters of a [`TaskCache`].
 ///
 /// Everything except `lock_wait_ns` is deterministic given the cache state
 /// and the batch sequence (entries, hit/miss/put counts, and the
-/// disk-append accounting the lane always implied but never reported);
-/// `lock_wait_ns` is a wall-clock measurement of time spent waiting for
-/// the disk lane's append lock and is observational.
+/// disk-append accounting); `lock_wait_ns` is a wall-clock measurement of
+/// time spent waiting for the disk lane's append lock and is
+/// observational.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries currently held in the in-memory map.
@@ -229,11 +224,20 @@ pub struct CacheStats {
     pub lock_wait_ns: u64,
 }
 
-/// A content-addressed simulation-result cache: an in-memory map with an
-/// optional append-only on-disk store shared across processes.
-pub struct SimCache {
-    mem: Mutex<HashMap<u128, f64>>,
-    disk: Option<DiskLane>,
+/// The simulation-result cache: content address to simulated wall time.
+pub type SimCache = TaskCache<f64>;
+
+/// A content-addressed `u128 -> V` store: an in-memory map with hit/miss
+/// counters and, for `f64` results ([`TaskCache::with_disk`]), an
+/// append-only on-disk store shared across processes.
+pub struct TaskCache<V> {
+    mem: Mutex<HashMap<u128, V>>,
+    /// Backing file, its append lock (so disk I/O never holds up readers
+    /// of the map) and the value's 64-bit encoding. Only
+    /// [`TaskCache::with_disk`] builds one, so the encoding is always
+    /// `f64::to_bits`.
+    #[allow(clippy::type_complexity)]
+    disk: Option<(PathBuf, Mutex<()>, fn(&V) -> u64)>,
     hits: AtomicU64,
     misses: AtomicU64,
     puts: AtomicU64,
@@ -242,10 +246,11 @@ pub struct SimCache {
     lock_wait_ns: AtomicU64,
 }
 
-impl SimCache {
+impl<V: Clone> TaskCache<V> {
     /// A purely in-memory cache.
+    #[must_use]
     pub fn in_memory() -> Self {
-        SimCache {
+        TaskCache {
             mem: Mutex::new(HashMap::new()),
             disk: None,
             hits: AtomicU64::new(0),
@@ -257,39 +262,9 @@ impl SimCache {
         }
     }
 
-    /// A cache backed by `path`: existing entries are loaded eagerly and
-    /// new results are appended as they are produced. Unreadable lines are
-    /// skipped (a torn final line from a killed run is harmless).
-    pub fn with_disk(path: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let path = path.into();
-        let mut mem = HashMap::new();
-        if path.exists() {
-            for line in std::fs::read_to_string(&path)?.lines() {
-                if let Some((key, val)) = parse_line(line) {
-                    mem.insert(key, val);
-                }
-            }
-        } else if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        Ok(SimCache {
-            mem: Mutex::new(mem),
-            disk: Some(DiskLane {
-                path,
-                append: Mutex::new(()),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            disk_appends: AtomicU64::new(0),
-            disk_append_bytes: AtomicU64::new(0),
-            lock_wait_ns: AtomicU64::new(0),
-        })
-    }
-
-    /// Look up a result.
-    pub fn get(&self, key: u128) -> Option<f64> {
-        let found = self.mem.lock().expect("cache poisoned").get(&key).copied();
+    /// Look up a result, counting the hit or miss.
+    pub fn get(&self, key: u128) -> Option<V> {
+        let found = self.mem.lock().expect("cache poisoned").get(&key).cloned();
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -297,48 +272,55 @@ impl SimCache {
         found
     }
 
-    /// Store a result (and append it to the disk store, if any).
+    /// Store a result (first writer wins) and append it to the disk store,
+    /// if any.
     ///
     /// The in-memory insert decides, under the map lock, whether this call
     /// is the first writer of `key`; the disk append then happens *outside*
     /// that lock, on the disk lane's own lock, so file I/O never blocks
-    /// concurrent `get`/`put` traffic on other keys.
-    pub fn put(&self, key: u128, value: f64) {
-        let first_insert = self
-            .mem
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, value)
-            .is_none();
-        if first_insert {
-            self.puts.fetch_add(1, Ordering::Relaxed);
-            if let Some(lane) = &self.disk {
-                let wait = std::time::Instant::now();
-                let _append = lane.append.lock().expect("disk lane poisoned");
-                self.lock_wait_ns
-                    .fetch_add(wait.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if let Ok(mut f) = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&lane.path)
-                {
-                    let line = format!("{key:032x} {:016x}", value.to_bits());
-                    if writeln!(f, "{line}").is_ok() {
-                        self.disk_appends.fetch_add(1, Ordering::Relaxed);
-                        self.disk_append_bytes
-                            .fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
-                    }
+    /// concurrent `get`/`put` traffic on other keys. Append failures are
+    /// ignored: the disk store is an optimisation, never a correctness
+    /// input.
+    pub fn put(&self, key: u128, value: &V) {
+        let first_insert = match self.mem.lock().expect("cache poisoned").entry(key) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(value.clone());
+                true
+            }
+        };
+        if !first_insert {
+            return;
+        }
+        self.puts.fetch_add(1, Ordering::Relaxed);
+        if let Some((path, append, bits)) = &self.disk {
+            let wait = std::time::Instant::now();
+            let _append = append.lock().expect("disk lane poisoned");
+            self.lock_wait_ns
+                .fetch_add(wait.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            if let Ok(mut f) = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+            {
+                let line = format!("{key:032x} {:016x}", bits(value));
+                if writeln!(f, "{line}").is_ok() {
+                    self.disk_appends.fetch_add(1, Ordering::Relaxed);
+                    self.disk_append_bytes
+                        .fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
                 }
             }
         }
     }
 
     /// Entries currently held.
+    #[must_use]
     pub fn len(&self) -> usize {
         self.mem.lock().expect("cache poisoned").len()
     }
 
     /// Whether the cache is empty.
+    #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -353,11 +335,6 @@ impl SimCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// First-writer insert count.
-    pub fn puts(&self) -> u64 {
-        self.puts.load(Ordering::Relaxed)
-    }
-
     /// The full counter snapshot, for metrics export.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -370,10 +347,37 @@ impl SimCache {
             lock_wait_ns: self.lock_wait_ns.load(Ordering::Relaxed),
         }
     }
+}
 
-    /// The backing file, if this cache persists to disk.
-    pub fn disk_path(&self) -> Option<&Path> {
-        self.disk.as_ref().map(|lane| lane.path.as_path())
+impl TaskCache<f64> {
+    /// A cache backed by `path`: existing entries are loaded eagerly and
+    /// new results are appended as they are produced, one
+    /// `{key:032x} {bits:016x}` line each (the value as `f64::to_bits`
+    /// hex, so a reloaded result is bit-identical to the freshly simulated
+    /// one). Unreadable lines are skipped (a torn final line from a killed
+    /// run is harmless).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from creating the parent directory or
+    /// reading an existing store.
+    pub fn with_disk(path: impl Into<PathBuf>) -> std::io::Result<Self> {
+        let path = path.into();
+        let mut mem = HashMap::new();
+        if path.exists() {
+            for line in std::fs::read_to_string(&path)?.lines() {
+                if let Some((key, val)) = parse_line(line) {
+                    mem.entry(key).or_insert(val);
+                }
+            }
+        } else if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        Ok(TaskCache {
+            mem: Mutex::new(mem),
+            disk: Some((path, Mutex::new(()), |v: &f64| v.to_bits())),
+            ..TaskCache::in_memory()
+        })
     }
 }
 
@@ -466,11 +470,11 @@ mod tests {
     fn memory_cache_round_trips() {
         let cache = SimCache::in_memory();
         assert_eq!(cache.get(42), None);
-        cache.put(42, 1.5);
+        cache.put(42, &1.5);
         assert_eq!(cache.get(42), Some(1.5));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // Repeat puts of a key are not first-writer inserts.
-        cache.put(42, 1.5);
+        cache.put(42, &1.5);
         let stats = cache.stats();
         assert_eq!(
             (stats.entries, stats.hits, stats.misses, stats.puts),
@@ -489,9 +493,9 @@ mod tests {
         let path = dir.join("stats.cache");
         let _ = std::fs::remove_file(&path);
         let cache = SimCache::with_disk(&path).unwrap();
-        cache.put(1, 0.5);
-        cache.put(2, 1.5);
-        cache.put(1, 0.5); // duplicate: no new line
+        cache.put(1, &0.5);
+        cache.put(2, &1.5);
+        cache.put(1, &0.5); // duplicate: no new line
         let stats = cache.stats();
         assert_eq!((stats.puts, stats.disk_appends), (2, 2));
         // Each line is 32 hex key + space + 16 hex value + newline = 50.
@@ -512,8 +516,8 @@ mod tests {
         let value = 1_234.000_000_001_f64;
         {
             let cache = SimCache::with_disk(&path).unwrap();
-            cache.put(7, value);
-            cache.put(u128::MAX, -0.0);
+            cache.put(7, &value);
+            cache.put(u128::MAX, &-0.0);
         }
         let cache = SimCache::with_disk(&path).unwrap();
         assert_eq!(cache.len(), 2);
@@ -522,6 +526,34 @@ mod tests {
             cache.get(u128::MAX).map(f64::to_bits),
             Some((-0.0f64).to_bits())
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn disk_format_is_one_hex_key_and_value_bits_per_line() {
+        // Pin the on-disk format with lines written by hand, not through
+        // `put`: existing cache files must keep loading, bit for bit.
+        let dir = std::env::temp_dir().join("wmm-harness-cache-format-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("format.cache");
+        let entries = [
+            (
+                0x0123_4567_89ab_cdef_fedc_ba98_7654_3210_u128,
+                1_234.000_000_001_f64,
+            ),
+            (1, -0.0),
+            (u128::MAX, f64::MIN_POSITIVE / 3.0),
+        ];
+        let text: String = entries
+            .iter()
+            .map(|(key, value)| format!("{:032x} {:016x}\n", key, value.to_bits()))
+            .collect();
+        std::fs::write(&path, text).unwrap();
+        let cache = SimCache::with_disk(&path).unwrap();
+        assert_eq!(cache.len(), entries.len());
+        for (key, value) in entries {
+            assert_eq!(cache.get(key).map(f64::to_bits), Some(value.to_bits()));
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -568,7 +600,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..256u128 {
                         let key = (i * 0x9e37) % 256;
-                        cache.put(key, key as f64 * 0.125 + 1.0);
+                        cache.put(key, &(key as f64 * 0.125 + 1.0));
                         if t % 2 == 0 {
                             let got = cache.get(key).expect("just put");
                             assert_eq!(got, key as f64 * 0.125 + 1.0);

@@ -13,8 +13,11 @@
 //!    the machine's available parallelism.
 //! 2. **Result caching** ([`cache`]): simulations are deterministic in
 //!    `(arch, program, ctx, seed)`, so results are content-addressed by a
-//!    stable hash of exactly those inputs, with an in-memory map and an
-//!    optional append-only on-disk store.
+//!    stable hash of exactly those inputs. One store type,
+//!    [`TaskCache<V>`], holds every content-addressed result: the
+//!    simulation cache is [`SimCache`] = `TaskCache<f64>`, with an optional
+//!    append-only on-disk store, and analysis tasks reuse the same type
+//!    through [`run_cached_tasks`].
 //! 3. **Run artifacts and gating** ([`artifact`], [`gate`]): each campaign
 //!    writes a schema-versioned JSON manifest (per-cell measurements,
 //!    fitted sensitivities, timings, cache hit rate) under `results/runs/`,
@@ -32,7 +35,8 @@
 //!    [`MetricsRegistry`](wmm_obs::MetricsRegistry) can be attached to an
 //!    executor, which then maintains `harness.exec.*` (batch/job/cache
 //!    counters, queue depth, a job-latency histogram), per-worker
-//!    `harness.worker.*` counters and `harness.cache.sim.*` gauges.
+//!    `harness.worker.*` counters and `harness.cache.sim.*` gauges (the
+//!    attached cache's [`CacheStats`], synced once per batch).
 //!    Structural metrics are byte-identical across worker counts and land
 //!    in the manifest's optional `metrics` block (schema v4); span logs
 //!    merge into the Chrome trace via [`trace::span_trace_events`].
@@ -50,9 +54,9 @@ pub mod trace;
 pub use artifact::{
     CellRecord, FitRecord, RunManifest, SimTotals, SiteRecord, Telemetry, Timing, SCHEMA_VERSION,
 };
-pub use cache::{job_key, CacheStats, Fnv128, SimCache};
+pub use cache::{job_key, CacheStats, Fnv128, SimCache, TaskCache};
 pub use gate::{compare, GateConfig, GateReport, Mismatch};
-pub use jobs::{run_cached_tasks, TaskCache, TaskCodec};
+pub use jobs::run_cached_tasks;
 pub use scheduler::{resolve_threads, run_keyed, run_keyed_indexed, ParallelExecutor};
 pub use trace::{
     instruction_trace_events, merge_chronological, span_trace_events, write_chrome_trace,

@@ -411,7 +411,7 @@ impl Executor for ParallelExecutor {
         }
         for (&slot, s) in misses.iter().zip(stats) {
             if let (Some(cache), Some(keys)) = (&self.cache, &keys) {
-                cache.put(keys[slot], s.wall_ns);
+                cache.put(keys[slot], &s.wall_ns);
             }
             outcomes[slot] = Some(JobOutcome::observed(s));
         }

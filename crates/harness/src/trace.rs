@@ -60,7 +60,7 @@ impl ToJson for TraceEvent {
 /// `label` renders each `(thread, index)` site's name (e.g. through a
 /// `SiteMap`); `ns_per_cycle` converts the architecture's clock to trace
 /// time. The records must be sorted by `(thread, index)`, which is how
-/// `Machine::run_sited` returns them.
+/// [`wmm_sim::SiteStallProbe::finish`] returns them.
 pub fn instruction_trace_events(
     sites: &[SiteStall],
     ns_per_cycle: f64,

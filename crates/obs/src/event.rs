@@ -61,7 +61,7 @@ pub enum Event {
 /// `dropped() == n - len()` (see [`EventBuffer::total_seen`]). Because the
 /// event stream itself is deterministic, the retained window and the drop
 /// count are bit-identical across repeated runs. Implements [`Probe`], so
-/// it can be passed straight to `Machine::run_probed`.
+/// it can be passed straight to `Machine::run_in`.
 #[derive(Debug)]
 pub struct EventBuffer {
     capacity: usize,
@@ -162,7 +162,7 @@ mod tests {
     use super::*;
     use wmm_sim::arch::armv8_xgene1;
     use wmm_sim::isa::{AccessOrd, Loc};
-    use wmm_sim::{Machine, Program, WorkloadCtx};
+    use wmm_sim::{Machine, MachineScratch, Program, WorkloadCtx};
 
     fn program() -> Program {
         let thread = vec![
@@ -183,7 +183,13 @@ mod tests {
     fn buffer_captures_a_faithful_transcript() {
         let machine = Machine::new(armv8_xgene1());
         let mut buf = EventBuffer::new(1 << 16);
-        machine.run_probed(&program(), &WorkloadCtx::default(), 7, &mut buf);
+        machine.run_in(
+            &program(),
+            &WorkloadCtx::default(),
+            7,
+            &mut buf,
+            &mut MachineScratch::new(),
+        );
         assert_eq!(buf.dropped(), 0);
         let begins = buf
             .events()
@@ -209,7 +215,13 @@ mod tests {
         let machine = Machine::new(armv8_xgene1());
         let capture = || {
             let mut buf = EventBuffer::new(1 << 16);
-            machine.run_probed(&program(), &WorkloadCtx::default(), 42, &mut buf);
+            machine.run_in(
+                &program(),
+                &WorkloadCtx::default(),
+                42,
+                &mut buf,
+                &mut MachineScratch::new(),
+            );
             buf.events().copied().collect::<Vec<_>>()
         };
         assert_eq!(capture(), capture());
@@ -277,13 +289,25 @@ mod tests {
         // conservation invariant ties them to the full event count.
         let machine = Machine::new(armv8_xgene1());
         let mut full = EventBuffer::new(1 << 16);
-        machine.run_probed(&program(), &WorkloadCtx::default(), 7, &mut full);
+        machine.run_in(
+            &program(),
+            &WorkloadCtx::default(),
+            7,
+            &mut full,
+            &mut MachineScratch::new(),
+        );
         assert_eq!(full.dropped(), 0);
         let total = full.len() as u64;
         assert!(total > 4, "program must emit more events than the ring");
 
         let mut small = EventBuffer::new(4);
-        machine.run_probed(&program(), &WorkloadCtx::default(), 7, &mut small);
+        machine.run_in(
+            &program(),
+            &WorkloadCtx::default(),
+            7,
+            &mut small,
+            &mut MachineScratch::new(),
+        );
         assert_eq!(small.len(), 4);
         assert_eq!(small.dropped(), total - 4);
         assert_eq!(small.total_seen(), total);

@@ -737,7 +737,7 @@ mod tests {
     fn metrics_probe_counts_events() {
         use wmm_sim::arch::armv8_xgene1;
         use wmm_sim::isa::FenceKind;
-        use wmm_sim::machine::{Program, WorkloadCtx};
+        use wmm_sim::machine::{MachineScratch, Program, WorkloadCtx};
         use wmm_sim::Machine;
 
         let reg = MetricsRegistry::new();
@@ -747,7 +747,13 @@ mod tests {
             Instr::Compute { cycles: 100 },
             Instr::Fence(FenceKind::DmbIsh),
         ]]);
-        machine.run_probed(&program, &WorkloadCtx::default(), 7, &mut probe);
+        machine.run_in(
+            &program,
+            &WorkloadCtx::default(),
+            7,
+            &mut probe,
+            &mut MachineScratch::new(),
+        );
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sim.instructions"), Some(2));
         assert_eq!(snap.counter("sim.fences"), Some(1));

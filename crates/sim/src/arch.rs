@@ -149,6 +149,7 @@ impl ArchSpec {
     ///
     /// Matches Fig. 4: flat/sub-linear while the out-of-order engine can
     /// overlap the short loop with surrounding code, then linear in N.
+    #[inline]
     pub fn costfn_cycles(&self, iters: u64, stack_spill: bool) -> f64 {
         let n = iters as f64;
         let overlapped = n.min(self.costfn_overlap_iters);

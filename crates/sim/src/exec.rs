@@ -92,6 +92,7 @@ impl CoreState {
         self.pop_cost = spec.l1_hit / spec.issue_width;
     }
 
+    #[inline]
     fn earn(&mut self, spec: &ArchSpec, amount: f64) {
         self.credit = (self.credit + amount).min(spec.ooo_window);
     }
@@ -100,6 +101,7 @@ impl CoreState {
     /// shadow of a barrier are serialised, paying extra cycles. This is what
     /// makes even `nop` padding at barrier sites measurably expensive
     /// (§4.2.1's 1.9% mean for nop injection).
+    #[inline]
     fn shadow_tax(&mut self, spec: &ArchSpec) {
         if self.fence_shadow > 0.0 {
             self.clock += spec.fence_shadow_cost;
@@ -108,6 +110,7 @@ impl CoreState {
     }
 
     /// Spend overlap credit against a latency, returning the exposed cost.
+    #[inline]
     fn hide(&mut self, spec: &ArchSpec, cost: f64) -> f64 {
         let hideable = cost * spec.ooo_hide_frac;
         let hidden = hideable.min(self.credit);

@@ -5,7 +5,7 @@ use crate::arch::ArchSpec;
 use crate::exec::CoreState;
 use crate::isa::Instr;
 use crate::mem::MemSys;
-use crate::probe::{NullProbe, Probe, SiteStallProbe};
+use crate::probe::{NullProbe, Probe};
 use crate::rng::SplitMix64;
 use crate::sched::CoreHeap;
 use crate::stats::{Counters, ExecStats};
@@ -87,7 +87,7 @@ impl WorkloadCtx {
     /// Check that every numeric field is finite and non-negative.
     ///
     /// A NaN or negative pressure/rate would poison core clocks mid-run and
-    /// detonate deep inside a batch; [`Machine::run_probed_with`] rejects
+    /// detonate deep inside a batch; [`Machine::run_in`] rejects
     /// such contexts up front with the offending field named instead.
     pub fn validate(&self) -> Result<(), String> {
         let fields = [
@@ -115,11 +115,10 @@ impl WorkloadCtx {
 ///
 /// `Machine::run` rebuilds all of this per run; executors that drain
 /// thousands of jobs instead keep one scratch per worker thread and call
-/// [`Machine::run_with`] / [`Machine::run_sited_with`], which reset the
-/// state in place and reuse every allocation. A scratch is freely reusable
-/// across machines and architectures — each run fully re-initialises the
-/// spec-dependent fields — and results are bit-identical to the
-/// allocate-fresh path.
+/// [`Machine::run_in`], which resets the state in place and reuses every
+/// allocation. A scratch is freely reusable across machines and
+/// architectures — each run fully re-initialises the spec-dependent
+/// fields — and results are bit-identical to the allocate-fresh path.
 #[derive(Debug, Default)]
 pub struct MachineScratch {
     cores: Vec<CoreState>,
@@ -160,81 +159,34 @@ impl Machine {
     /// (cache misses on private data, branch mispredicts, run-level noise) —
     /// one seed corresponds to one of the paper's benchmark samples.
     pub fn run(&self, program: &Program, ctx: &WorkloadCtx, seed: u64) -> ExecStats {
-        self.run_probed(program, ctx, seed, &mut NullProbe)
+        self.run_in(
+            program,
+            ctx,
+            seed,
+            &mut NullProbe,
+            &mut MachineScratch::new(),
+        )
     }
 
-    /// [`Machine::run`] reusing a [`MachineScratch`] arena instead of
-    /// allocating fresh per-run state — the executor hot path.
-    pub fn run_with(
-        &self,
-        program: &Program,
-        ctx: &WorkloadCtx,
-        seed: u64,
-        scratch: &mut MachineScratch,
-    ) -> ExecStats {
-        // Monomorphized over NullProbe: every probe call compiles away.
-        self.run_loop(program, ctx, seed, &mut NullProbe, scratch)
-    }
-
-    /// [`Machine::run`] with per-site stall attribution: the run is driven
-    /// through a [`SiteStallProbe`] and the returned statistics carry
-    /// `per_site: Some(..)`. Every other field — wall time, core cycles,
-    /// counters, store-buffer stalls — is bit-identical to [`Machine::run`]
-    /// on the same inputs: the probe observes, it never perturbs.
-    pub fn run_sited(&self, program: &Program, ctx: &WorkloadCtx, seed: u64) -> ExecStats {
-        self.run_sited_with(program, ctx, seed, &mut MachineScratch::new())
-    }
-
-    /// [`Machine::run_sited`] reusing a [`MachineScratch`] arena.
-    pub fn run_sited_with(
-        &self,
-        program: &Program,
-        ctx: &WorkloadCtx,
-        seed: u64,
-        scratch: &mut MachineScratch,
-    ) -> ExecStats {
-        let mut probe = SiteStallProbe::new();
-        let mut stats = self.run_loop(program, ctx, seed, &mut probe, scratch);
-        stats.per_site = Some(probe.finish());
-        stats
-    }
-
-    /// [`Machine::run`] driving execution events through `probe` (the
-    /// observability seam; see [`crate::probe`]). Results are bit-identical
-    /// regardless of the probe attached.
-    pub fn run_probed(
-        &self,
-        program: &Program,
-        ctx: &WorkloadCtx,
-        seed: u64,
-        probe: &mut dyn Probe,
-    ) -> ExecStats {
-        self.run_probed_with(program, ctx, seed, probe, &mut MachineScratch::new())
-    }
-
-    /// The run loop: [`Machine::run_probed`] with every per-run allocation
-    /// drawn from (and returned to) `scratch`.
-    pub fn run_probed_with(
-        &self,
-        program: &Program,
-        ctx: &WorkloadCtx,
-        seed: u64,
-        probe: &mut dyn Probe,
-        scratch: &mut MachineScratch,
-    ) -> ExecStats {
-        self.run_loop(program, ctx, seed, probe, scratch)
-    }
-
-    /// The run loop proper, generic over the probe so statically-known
-    /// probes monomorphize (a [`NullProbe`] run carries zero observation
-    /// overhead — no virtual dispatch per instruction).
+    /// The run loop: [`Machine::run`] driving execution events through
+    /// `probe` (the observability seam; see [`crate::probe`]) with every
+    /// per-run allocation drawn from (and returned to) `scratch`. Results
+    /// are bit-identical regardless of the probe or scratch supplied.
     ///
-    /// Scheduling is discrete-event: a [`CoreHeap`] keyed on `(clock, core)`
+    /// Generic over the probe so statically-known probes monomorphize: a
+    /// [`NullProbe`] run — the executor hot path — carries zero
+    /// observation overhead, no virtual dispatch per instruction. Being
+    /// generic, the loop is compiled in the calling crate, which is why
+    /// the per-instruction helpers it reaches in this crate (store buffer,
+    /// memory system, scheduler heap, RNG, counters) are `#[inline]`:
+    /// without that they stay out-of-line calls across the crate boundary.
+    ///
+    /// Scheduling is discrete-event: a `CoreHeap` keyed on `(clock, core)`
     /// always surfaces the core with the smallest local clock, so cross-core
     /// coherence interactions happen in global time order, and a stepped
     /// core whose clock is still minimal keeps running without touching the
     /// other cores at all.
-    fn run_loop<P: Probe + ?Sized>(
+    pub fn run_in<P: Probe + ?Sized>(
         &self,
         program: &Program,
         ctx: &WorkloadCtx,
@@ -372,6 +324,7 @@ mod tests {
     use super::*;
     use crate::arch::{armv8_xgene1, power7};
     use crate::isa::{AccessOrd, FenceKind, Loc};
+    use crate::probe::SiteStallProbe;
 
     fn store(line: u64) -> Instr {
         Instr::Store {
@@ -573,7 +526,7 @@ mod tests {
                 for machine in [&arm, &pow] {
                     let seed = (round * 10 + i) as u64;
                     let fresh = machine.run(prog, &ctx, seed);
-                    let reused = machine.run_with(prog, &ctx, seed, &mut scratch);
+                    let reused = machine.run_in(prog, &ctx, seed, &mut NullProbe, &mut scratch);
                     assert_eq!(fresh.wall_ns, reused.wall_ns);
                     assert_eq!(fresh.core_cycles, reused.core_cycles);
                     assert_eq!(fresh.sb_stall_cycles, reused.sb_stall_cycles);
@@ -594,14 +547,21 @@ mod tests {
         let ctx = WorkloadCtx::default();
         let mut scratch = MachineScratch::new();
         // Warm the scratch with an unrelated job first.
-        m.run_with(
+        m.run_in(
             &Program::new(vec![vec![load(5); 30]; 4]),
             &ctx,
             1,
+            &mut NullProbe,
             &mut scratch,
         );
-        let fresh = m.run_sited(&prog, &ctx, 42);
-        let reused = m.run_sited_with(&prog, &ctx, 42, &mut scratch);
+        let sited = |scratch: &mut MachineScratch| {
+            let mut probe = SiteStallProbe::new();
+            let mut stats = m.run_in(&prog, &ctx, 42, &mut probe, scratch);
+            stats.per_site = Some(probe.finish());
+            stats
+        };
+        let fresh = sited(&mut MachineScratch::new());
+        let reused = sited(&mut scratch);
         assert_eq!(fresh.wall_ns, reused.wall_ns);
         assert_eq!(fresh.per_site, reused.per_site);
     }

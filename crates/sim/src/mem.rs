@@ -28,10 +28,12 @@ use crate::rng::SplitMix64;
 pub struct LineKeyHasher(u64);
 
 impl Hasher for LineKeyHasher {
+    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
 
+    #[inline]
     fn write_u64(&mut self, key: u64) {
         let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -105,6 +107,7 @@ pub struct MemSys {
 
 /// Key used to disambiguate the address spaces of the three [`Loc`] classes
 /// (and, for private lines, of each core).
+#[inline]
 pub fn line_key(core: usize, loc: Loc) -> u64 {
     match loc {
         // Private lines are per-core: fold the core id into the key.
@@ -132,6 +135,7 @@ impl MemSys {
     ///
     /// `miss_rate`/`dram_frac` describe the workload's locality for
     /// non-coherent data; `rng` supplies the seeded randomness.
+    #[inline]
     pub fn load(
         &mut self,
         core: usize,
@@ -189,6 +193,7 @@ impl MemSys {
     /// Cycle cost of **draining a store** by `core` to `loc` out of the store
     /// buffer (the store itself retires into the buffer for free; this is
     /// the background cost the buffer model charges).
+    #[inline]
     pub fn store_drain(&mut self, core: usize, loc: Loc, spec: &ArchSpec) -> f64 {
         match loc {
             Loc::Private(_) => spec.sb_drain_local,
@@ -211,6 +216,7 @@ impl MemSys {
 
     /// Cycle cost for `core` to gain exclusive ownership for an atomic
     /// read-modify-write.
+    #[inline]
     pub fn rmw(&mut self, core: usize, loc: Loc, spec: &ArchSpec) -> (f64, AccessOutcome) {
         let key = line_key(core, loc);
         match self.directory.insert(key, LineState::Modified(core)) {

@@ -64,7 +64,7 @@ pub struct NullProbe;
 impl Probe for NullProbe {}
 
 /// Folds the event stream into one [`SiteStall`] record per executed
-/// `(thread, index)` site — the collector behind `Machine::run_sited`.
+/// `(thread, index)` site — the collector behind sited `SimJob` runs.
 ///
 /// Each site executes exactly once per run (per-thread program counters
 /// only advance), so the fold is a plain append; [`SiteStallProbe::finish`]

@@ -22,6 +22,7 @@ impl SplitMix64 {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -31,11 +32,13 @@ impl SplitMix64 {
     }
 
     /// Uniform `f64` in `[0, 1)` using the top 53 bits.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[0, bound)`. `bound` must be non-zero.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
         // Multiply-shift bounded sampling (Lemire); bias is negligible for
@@ -44,6 +47,7 @@ impl SplitMix64 {
     }
 
     /// Bernoulli trial with probability `p`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }

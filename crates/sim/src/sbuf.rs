@@ -58,6 +58,7 @@ impl StoreBuffer {
     }
 
     /// Drop entries whose drain completed at or before `now`.
+    #[inline]
     pub fn expire(&mut self, now: f64) {
         while let Some(front) = self.entries.front() {
             if front.completes <= now {
@@ -69,6 +70,7 @@ impl StoreBuffer {
     }
 
     /// Number of entries still draining at `now`.
+    #[inline]
     pub fn occupancy(&mut self, now: f64) -> usize {
         self.expire(now);
         self.entries.len()
@@ -81,6 +83,7 @@ impl StoreBuffer {
     /// FIFO order is preserved: a store's completion time is never earlier
     /// than its predecessor's (total store order per core — this is also what
     /// makes `dmb ishst` nearly free when the buffer is draining anyway).
+    #[inline]
     pub fn push(&mut self, now: f64, line_key: u64, drain_cycles: f64) -> f64 {
         self.expire(now);
         let mut now = now;
@@ -105,6 +108,7 @@ impl StoreBuffer {
 
     /// Residual cycles until the buffer is fully drained, as seen at `now`.
     /// Zero when empty — the microbenchmark case.
+    #[inline]
     pub fn pending_wait(&mut self, now: f64) -> f64 {
         self.expire(now);
         if self.entries.is_empty() {
@@ -116,12 +120,14 @@ impl StoreBuffer {
 
     /// Whether a load from `line_key` can be satisfied by forwarding from the
     /// buffer (a younger store to the same line is still buffered).
+    #[inline]
     pub fn forwards(&mut self, now: f64, line_key: u64) -> bool {
         self.expire(now);
         self.entries.iter().any(|e| e.line_key == line_key)
     }
 
     /// Drain everything by `now` (used at simulated context switches).
+    #[inline]
     pub fn flush(&mut self, now: f64) -> f64 {
         let wait = self.pending_wait(now);
         self.entries.clear();

@@ -1,6 +1,6 @@
 //! The run-loop scheduler: an index min-heap over core clocks.
 //!
-//! `Machine::run_probed` must always step the core with the smallest local
+//! `Machine::run_in` must always step the core with the smallest local
 //! clock so cross-core coherence interactions happen in global time order.
 //! The original implementation re-scanned every live core per retired
 //! instruction (O(live) `min_by`); this heap makes each scheduling decision
@@ -29,6 +29,7 @@ pub struct CoreHeap {
 /// Min-order: earlier clock first, lower core index on equal clocks.
 /// `total_cmp` gives a full order even on non-finite clocks, so a poisoned
 /// clock degrades scheduling order instead of panicking the whole campaign.
+#[inline]
 fn before(a: (f64, u32), b: (f64, u32)) -> bool {
     match a.0.total_cmp(&b.0) {
         std::cmp::Ordering::Less => true,
@@ -69,12 +70,14 @@ impl CoreHeap {
 
     /// The core with the smallest `(clock, index)` key, if any.
     #[must_use]
+    #[inline]
     pub fn peek(&self) -> Option<usize> {
         self.heap.first().map(|&(_, idx)| idx as usize)
     }
 
     /// Re-key the root with its core's advanced clock and restore the heap
     /// property (a single sift-down: clocks only increase).
+    #[inline]
     pub fn update_root(&mut self, clock: f64) {
         debug_assert!(!self.heap.is_empty(), "update_root on empty heap");
         self.heap[0].0 = clock;
@@ -82,6 +85,7 @@ impl CoreHeap {
     }
 
     /// Remove the root (its thread retired its last instruction).
+    #[inline]
     pub fn pop_root(&mut self) {
         debug_assert!(!self.heap.is_empty(), "pop_root on empty heap");
         let last = self.heap.len() - 1;
@@ -104,6 +108,7 @@ impl CoreHeap {
         }
     }
 
+    #[inline]
     fn sift_down(&mut self, mut i: usize) {
         let n = self.heap.len();
         loop {

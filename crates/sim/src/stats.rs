@@ -49,6 +49,7 @@ pub struct Counters {
 
 impl Counters {
     /// Record a memory-access outcome.
+    #[inline]
     pub fn record_access(&mut self, outcome: AccessOutcome) {
         match outcome {
             AccessOutcome::L1Hit => self.l1_hits += 1,
@@ -59,11 +60,13 @@ impl Counters {
     }
 
     /// Record a fence execution.
+    #[inline]
     pub fn record_fence(&mut self, kind: FenceKind) {
         *self.fence_counts.entry(kind).or_insert(0) += 1;
     }
 
     /// Record cycles spent in a fence.
+    #[inline]
     pub fn record_fence_cycles(&mut self, kind: FenceKind, cycles: f64) {
         *self.fence_cycles.entry(kind).or_insert(0.0) += cycles;
     }
@@ -102,9 +105,9 @@ impl Counters {
 }
 
 /// Stall attribution of one executed instruction site, identified by its
-/// stable site id `(thread, stream index)`. Produced by
-/// `Machine::run_sited` through the [`crate::probe`] seam; `None` causes are
-/// compute time (`total_cycles` minus the attributed stalls).
+/// stable site id `(thread, stream index)`. Produced by a
+/// [`crate::SiteStallProbe`] through the [`crate::probe`] seam; `None`
+/// causes are compute time (`total_cycles` minus the attributed stalls).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteStall {
     /// Thread (core) index.
@@ -139,8 +142,8 @@ pub struct ExecStats {
     /// Number of store-buffer capacity stalls.
     pub sb_stalls: u64,
     /// Per-site stall attribution, sorted by `(thread, index)`. `None`
-    /// unless the run was driven through `Machine::run_sited` — the
-    /// default path carries no observability cost.
+    /// unless the run was driven through a [`crate::SiteStallProbe`] (a
+    /// sited `SimJob`) — the default path carries no observability cost.
     pub per_site: Option<Vec<SiteStall>>,
 }
 

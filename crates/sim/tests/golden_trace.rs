@@ -7,7 +7,7 @@
 
 use wmm_sim::arch::{armv8_xgene1, power7};
 use wmm_sim::isa::{AccessOrd, FenceKind, Instr, Loc};
-use wmm_sim::{Machine, Probe, Program, WorkloadCtx};
+use wmm_sim::{Machine, MachineScratch, Probe, Program, WorkloadCtx};
 
 /// Records the global begin-order of every instruction as `(thread, index)`.
 struct TraceProbe {
@@ -36,7 +36,13 @@ fn load(line: u64) -> Instr {
 
 fn trace_of(machine: &Machine, program: &Program, seed: u64) -> Vec<(usize, usize)> {
     let mut probe = TraceProbe { events: vec![] };
-    machine.run_probed(program, &WorkloadCtx::default(), seed, &mut probe);
+    machine.run_in(
+        program,
+        &WorkloadCtx::default(),
+        seed,
+        &mut probe,
+        &mut MachineScratch::new(),
+    );
     assert_eq!(
         probe.events.len(),
         program.len(),

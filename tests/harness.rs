@@ -416,7 +416,7 @@ proptest! {
     }
 
     /// Sited execution is observation, not perturbation: for any program,
-    /// `run_sited` returns byte-identical statistics to `run` (the default
+    /// a sited job returns byte-identical statistics to `run` (the default
     /// path carries no observability cost), and its per-site fence stalls
     /// partition the per-kind totals — same execution counts exactly, same
     /// cycles within float reassociation.
@@ -440,7 +440,14 @@ proptest! {
         let ctx = WorkloadCtx::default();
 
         let plain = machine.run(&prog, &ctx, seed);
-        let sited = machine.run_sited(&prog, &ctx, seed);
+        let sited = SimJob {
+            machine: &machine,
+            program: prog,
+            ctx,
+            seed,
+            sited: true,
+        }
+        .run_stats();
         prop_assert!(plain.per_site.is_none(), "default path must not observe");
         let mut scrubbed = sited.clone();
         let sites = scrubbed.per_site.take().expect("sited run must observe");
