@@ -82,13 +82,15 @@ pub fn cli_config() -> ExpConfig {
 
 /// Worker-thread request from the command line (`--threads N`), if any.
 /// `None` defers to `WMM_THREADS` / available parallelism (see
-/// `wmm_harness::resolve_threads`).
+/// `wmm_harness::resolve_threads`). A missing or unparsable `N` stops the
+/// program (see `wmm_harness::thread_count`).
 pub fn cli_threads() -> Option<usize> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
+    let i = args.iter().position(|a| a == "--threads")?;
+    Some(wmm_harness::thread_count(
+        "--threads",
+        args.get(i + 1).map(String::as_str),
+    ))
 }
 
 /// Whether a bare flag (e.g. `--cache`) was passed on the command line.

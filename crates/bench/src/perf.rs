@@ -210,13 +210,14 @@ fn fig5_iteration(arch: Arch, opts: &BenchOptions) -> (u64, String) {
     (exec.telemetry().jobs, results_checksum(&sweeps))
 }
 
-/// The fig. 5 iteration with the full `wmm-obs` metrics layer attached:
-/// a fresh registry per iteration, every batch updating the
-/// `harness.exec.*` / `harness.worker.*` / `harness.cache.sim.*` metrics.
-/// Same science as [`fig5_iteration`] — metrics observe, they never steer —
-/// so its checksum must equal the plain campaign's, which the committed
-/// report pins. The campaign exists to *price* observability: the
-/// [`overhead_check`] compares its throughput against the bare run.
+/// The fig. 5 iteration with a caller's `wmm-obs` registry attached: a
+/// fresh registry per iteration, holding the `harness.exec.*` /
+/// `harness.worker.*` metrics and indexing the `harness.cache.sim.*`
+/// counters. Same science as [`fig5_iteration`] — metrics observe, they
+/// never steer — so its checksum must equal the plain campaign's, which
+/// the committed report pins. Both campaigns update the same handles (the
+/// plain one in its executor's private registry), so the
+/// [`overhead_check`] prices attaching a shared registry.
 fn fig5_obs_iteration(arch: Arch, opts: &BenchOptions) -> (u64, String) {
     let registry = MetricsRegistry::new();
     let exec = ParallelExecutor::new(opts.threads)

@@ -310,10 +310,10 @@ mod tests {
         assert!(checks_pass(&r), "per-kind cross-check must pass");
         // The executor seam reported through the registry...
         assert!(r.snapshot.counter("harness.exec.jobs").unwrap() > 0);
-        // ...and the cache gauges mirror the cache's own stats.
+        // ...and indexes the cache's own counters, which its stats read.
         assert_eq!(
-            r.snapshot.gauge("harness.cache.sim.entries").unwrap(),
-            r.cache.entries as f64
+            r.snapshot.counter("harness.cache.sim.entries").unwrap(),
+            r.cache.entries
         );
         // The WPS stage populated the solver metrics.
         assert!(r.wps_bundles.unwrap() > 0);

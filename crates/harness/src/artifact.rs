@@ -247,7 +247,10 @@ pub struct Telemetry {
     pub jobs: u64,
     /// Jobs answered from the result cache.
     pub cache_hits: u64,
-    /// Jobs actually simulated.
+    /// Jobs the executor simulated: cache lookups that missed plus sited
+    /// jobs, which always simulate without a lookup (so `jobs ==
+    /// cache_hits + cache_misses`). The cache's own lookup-miss count is
+    /// [`CacheStats::misses`](crate::CacheStats::misses).
     pub cache_misses: u64,
     /// Aggregated simulator ground truth over the simulated jobs.
     pub sim: SimTotals,

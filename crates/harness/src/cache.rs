@@ -20,9 +20,9 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
+use wmm_obs::{Class, Counter, MetricsRegistry};
 use wmm_sim::isa::{AccessOrd, Instr, Loc, Mispredict};
 use wmmbench::exec::SimJob;
 
@@ -198,7 +198,7 @@ pub fn job_key(job: &SimJob<'_>) -> u128 {
     h.finish()
 }
 
-/// Operational counters of a [`TaskCache`].
+/// A read-out of a [`TaskCache`]'s counters.
 ///
 /// Everything except `lock_wait_ns` is deterministic given the cache state
 /// and the batch sequence (entries, hit/miss/put counts, and the
@@ -211,7 +211,10 @@ pub struct CacheStats {
     pub entries: u64,
     /// Lookups that found an entry.
     pub hits: u64,
-    /// Lookups that missed.
+    /// Lookups that missed. Only lookups count: a sited job simulates
+    /// without looking up, so the executor's count of simulated jobs is
+    /// [`Telemetry::cache_misses`](crate::Telemetry::cache_misses), not
+    /// this.
     pub misses: u64,
     /// First-writer inserts (repeat puts of a key count nothing).
     pub puts: u64,
@@ -230,6 +233,10 @@ pub type SimCache = TaskCache<f64>;
 /// A content-addressed `u128 -> V` store: an in-memory map with hit/miss
 /// counters and, for `f64` results ([`TaskCache::with_disk`]), an
 /// append-only on-disk store shared across processes.
+///
+/// The counters are `wmm-obs` handles and the cache's only record of its
+/// traffic: [`TaskCache::stats`] reads them, and an executor indexes them
+/// in its metrics registry ([`TaskCache::index_metrics`]).
 pub struct TaskCache<V> {
     mem: Mutex<HashMap<u128, V>>,
     /// Backing file, its append lock (so disk I/O never holds up readers
@@ -238,12 +245,13 @@ pub struct TaskCache<V> {
     /// `f64::to_bits`.
     #[allow(clippy::type_complexity)]
     disk: Option<(PathBuf, Mutex<()>, fn(&V) -> u64)>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
-    disk_appends: AtomicU64,
-    disk_append_bytes: AtomicU64,
-    lock_wait_ns: AtomicU64,
+    entries: Arc<Counter>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    puts: Arc<Counter>,
+    disk_appends: Arc<Counter>,
+    disk_append_bytes: Arc<Counter>,
+    lock_wait_ns: Arc<Counter>,
 }
 
 impl<V: Clone> TaskCache<V> {
@@ -253,12 +261,13 @@ impl<V: Clone> TaskCache<V> {
         TaskCache {
             mem: Mutex::new(HashMap::new()),
             disk: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            disk_appends: AtomicU64::new(0),
-            disk_append_bytes: AtomicU64::new(0),
-            lock_wait_ns: AtomicU64::new(0),
+            entries: Arc::default(),
+            hits: Arc::default(),
+            misses: Arc::default(),
+            puts: Arc::default(),
+            disk_appends: Arc::default(),
+            disk_append_bytes: Arc::default(),
+            lock_wait_ns: Arc::default(),
         }
     }
 
@@ -266,9 +275,9 @@ impl<V: Clone> TaskCache<V> {
     pub fn get(&self, key: u128) -> Option<V> {
         let found = self.mem.lock().expect("cache poisoned").get(&key).cloned();
         match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
         found
     }
 
@@ -286,18 +295,18 @@ impl<V: Clone> TaskCache<V> {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
                 slot.insert(value.clone());
+                self.entries.inc();
                 true
             }
         };
         if !first_insert {
             return;
         }
-        self.puts.fetch_add(1, Ordering::Relaxed);
+        self.puts.inc();
         if let Some((path, append, bits)) = &self.disk {
             let wait = std::time::Instant::now();
             let _append = append.lock().expect("disk lane poisoned");
-            self.lock_wait_ns
-                .fetch_add(wait.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.lock_wait_ns.add(wait.elapsed().as_nanos() as u64);
             if let Ok(mut f) = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -305,18 +314,18 @@ impl<V: Clone> TaskCache<V> {
             {
                 let line = format!("{key:032x} {:016x}", bits(value));
                 if writeln!(f, "{line}").is_ok() {
-                    self.disk_appends.fetch_add(1, Ordering::Relaxed);
-                    self.disk_append_bytes
-                        .fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
+                    self.disk_appends.inc();
+                    self.disk_append_bytes.add(line.len() as u64 + 1);
                 }
             }
         }
     }
 
-    /// Entries currently held.
+    /// Entries currently held (the map only grows, so this is a count of
+    /// first inserts plus entries loaded from disk).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.mem.lock().expect("cache poisoned").len()
+        self.entries.get() as usize
     }
 
     /// Whether the cache is empty.
@@ -327,24 +336,44 @@ impl<V: Clone> TaskCache<V> {
 
     /// Lookup count that found an entry.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Lookup count that missed.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
-    /// The full counter snapshot, for metrics export.
+    /// A read-out of every counter.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            entries: self.len() as u64,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            disk_appends: self.disk_appends.load(Ordering::Relaxed),
-            disk_append_bytes: self.disk_append_bytes.load(Ordering::Relaxed),
-            lock_wait_ns: self.lock_wait_ns.load(Ordering::Relaxed),
+            entries: self.entries.get(),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            puts: self.puts.get(),
+            disk_appends: self.disk_appends.get(),
+            disk_append_bytes: self.disk_append_bytes.get(),
+            lock_wait_ns: self.lock_wait_ns.get(),
+        }
+    }
+
+    /// Index the counter handles in `registry` as `{prefix}.<counter>`:
+    /// structural (the executor looks up and inserts on its calling
+    /// thread) except `lock_wait_ns`; `disk_appends` stays unindexed.
+    pub fn index_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
+        for (name, class, handle) in [
+            ("entries", Class::Structural, &self.entries),
+            ("hits", Class::Structural, &self.hits),
+            ("misses", Class::Structural, &self.misses),
+            ("puts", Class::Structural, &self.puts),
+            (
+                "disk_append_bytes",
+                Class::Structural,
+                &self.disk_append_bytes,
+            ),
+            ("lock_wait_ns", Class::Observational, &self.lock_wait_ns),
+        ] {
+            registry.index_counter(&format!("{prefix}.{name}"), class, handle);
         }
     }
 }
@@ -373,11 +402,14 @@ impl TaskCache<f64> {
         } else if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        Ok(TaskCache {
+        let loaded = mem.len() as u64;
+        let cache = TaskCache {
             mem: Mutex::new(mem),
             disk: Some((path, Mutex::new(()), |v: &f64| v.to_bits())),
             ..TaskCache::in_memory()
-        })
+        };
+        cache.entries.add(loaded);
+        Ok(cache)
     }
 }
 

@@ -10,7 +10,8 @@
 //!    worker threads. Results are collected by job index, so experiment
 //!    output is bit-identical regardless of worker count. Worker count
 //!    comes from `--threads`, the `WMM_THREADS` environment variable, or
-//!    the machine's available parallelism.
+//!    the machine's available parallelism; a count that does not parse
+//!    stops the program ([`thread_count`]).
 //! 2. **Result caching** ([`cache`]): simulations are deterministic in
 //!    `(arch, program, ctx, seed)`, so results are content-addressed by a
 //!    stable hash of exactly those inputs. One store type,
@@ -31,15 +32,15 @@
 //!    outcomes, cost-loop invocations). The totals land in the manifest's
 //!    non-gated `telemetry` section; per-batch and per-job wall timings can
 //!    additionally be exported as a `chrome://tracing` timeline.
-//! 5. **Metrics** ([`ParallelExecutor::with_metrics`]): a `wmm-obs`
-//!    [`MetricsRegistry`](wmm_obs::MetricsRegistry) can be attached to an
-//!    executor, which then maintains `harness.exec.*` (batch/job/cache
-//!    counters, queue depth, a job-latency histogram), per-worker
-//!    `harness.worker.*` counters and `harness.cache.sim.*` gauges (the
-//!    attached cache's [`CacheStats`], synced once per batch).
-//!    Structural metrics are byte-identical across worker counts and land
-//!    in the manifest's optional `metrics` block (schema v4); span logs
-//!    merge into the Chrome trace via [`trace::span_trace_events`].
+//! 5. **Metrics** ([`ParallelExecutor::with_metrics`]): the executor and
+//!    its cache count only into `wmm-obs` handles — `harness.exec.*`,
+//!    `harness.worker.*` and the cache's own counters — and the telemetry
+//!    counts and [`CacheStats`] are read-outs of them. Attaching a
+//!    [`MetricsRegistry`](wmm_obs::MetricsRegistry) registers them there
+//!    (the cache's as `harness.cache.sim.*`). Structural metrics are
+//!    byte-identical across worker counts and land in the manifest's
+//!    optional `metrics` block (schema v4); span logs merge into the
+//!    Chrome trace via [`trace::span_trace_events`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,7 +58,9 @@ pub use artifact::{
 pub use cache::{job_key, CacheStats, Fnv128, SimCache, TaskCache};
 pub use gate::{compare, GateConfig, GateReport, Mismatch};
 pub use jobs::run_cached_tasks;
-pub use scheduler::{resolve_threads, run_keyed, run_keyed_indexed, ParallelExecutor};
+pub use scheduler::{
+    resolve_threads, run_keyed, run_keyed_indexed, thread_count, ParallelExecutor,
+};
 pub use trace::{
     instruction_trace_events, merge_chronological, span_trace_events, write_chrome_trace,
     TraceEvent,

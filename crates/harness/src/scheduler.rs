@@ -10,15 +10,18 @@
 //! Beyond results, the executor aggregates the simulator's own telemetry:
 //! every freshly simulated job's [`ExecStats`] is folded — in job order, so
 //! float sums are bit-identical across worker counts — into a campaign-wide
-//! [`SimTotals`], and per-batch/per-job wall timings can be recorded as
-//! [`TraceEvent`]s for Chrome-trace export.
+//! [`SimTotals`]. Everything the executor counts (batches, jobs, hits,
+//! simulated jobs, job latencies, batch wall times) it counts once, into
+//! `wmm-obs` metric handles; [`ParallelExecutor::telemetry`] is a read-out
+//! of them. Per-batch/per-job wall timings can also be recorded in a
+//! [`SpanLog`] for Chrome-trace export.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use wmm_obs::{Class, Counter, Gauge, Histogram, MetricsRegistry};
+use wmm_obs::{Class, Counter, Gauge, Histogram, MetricsRegistry, SpanLog};
 use wmm_sim::stats::ExecStats;
 use wmm_sim::MachineScratch;
 use wmmbench::exec::{Executor, JobOutcome, SimJob};
@@ -28,14 +31,14 @@ use crate::cache::{job_key, CacheStats, SimCache};
 use crate::trace::TraceEvent;
 
 /// Resolve the worker-thread count: an explicit request wins, then the
-/// `WMM_THREADS` environment variable, then the machine's available
+/// `WMM_THREADS` environment variable (parsed by [`thread_count`], so a
+/// mistyped value stops the program), then the machine's available
 /// parallelism. A resolved count is always at least 1.
 pub fn resolve_threads(requested: Option<usize>) -> usize {
     let n = requested
         .or_else(|| {
-            std::env::var("WMM_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
+            std::env::var_os("WMM_THREADS")
+                .map(|v| thread_count("WMM_THREADS", Some(&v.to_string_lossy())))
         })
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -43,6 +46,24 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
                 .unwrap_or(1)
         });
     n.max(1)
+}
+
+/// The worker-thread count that `source` (`--threads` or `WMM_THREADS`)
+/// gave as `value`. A missing or non-numeric value stops the program with
+/// exit status 2 and a message naming it: a mistyped count must not
+/// silently become every core. `0` parses (and resolves to 1).
+pub fn thread_count(source: &str, value: Option<&str>) -> usize {
+    parse_thread_count(source, value).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_thread_count(source: &str, value: Option<&str>) -> Result<usize, String> {
+    let value = value.ok_or_else(|| format!("{source} needs a thread count"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{source}: `{value}` is not a thread count"))
 }
 
 /// Run `f` over every item, on up to `threads` scoped workers, and return
@@ -105,25 +126,15 @@ thread_local! {
     static SIM_SCRATCH: RefCell<MachineScratch> = RefCell::new(MachineScratch::new());
 }
 
-/// Aggregate counters across every batch an executor has run.
-#[derive(Debug, Default)]
-struct BatchCounters {
-    batches: AtomicU64,
-    jobs: AtomicU64,
-    sim_ns: AtomicU64,
-    wall_ns: AtomicU64,
-    max_batch_ns: AtomicU64,
-    max_batch_jobs: AtomicU64,
-}
-
-/// Registered metric handles for an instrumented executor.
+/// The executor's counter store: the only place it counts anything.
 ///
-/// Structural metrics (batch/job/hit/miss counts, queue depth) are updated
-/// only on the calling thread from count-derived values, so their values —
-/// and therefore the registry's structural snapshot — are byte-identical
-/// across worker counts. Observational metrics (the job-latency histogram
-/// and the per-worker counters) are updated from worker threads and carry
-/// wall-clock readings.
+/// Structural metrics (batch/job/hit/simulated counts, queue depth) are
+/// updated only on the calling thread from count-derived values, so their
+/// values — and therefore the registry's structural snapshot — are
+/// byte-identical across worker counts. Observational metrics carry
+/// wall-clock readings: the job-latency histogram (whose sum is the
+/// simulated time) and per-worker counters, updated from worker threads,
+/// and the batch wall-time metrics behind [`Timing`].
 struct ExecMetrics {
     batches: Arc<Counter>,
     jobs: Arc<Counter>,
@@ -133,16 +144,16 @@ struct ExecMetrics {
     job_latency_ns: Arc<Histogram>,
     worker_jobs: Vec<Arc<Counter>>,
     worker_busy_ns: Vec<Arc<Counter>>,
-    sim_cache_entries: Arc<Gauge>,
-    sim_cache_hits: Arc<Gauge>,
-    sim_cache_misses: Arc<Gauge>,
-    sim_cache_puts: Arc<Gauge>,
-    sim_cache_disk_append_bytes: Arc<Gauge>,
-    sim_cache_lock_wait_ns: Arc<Gauge>,
+    wall_ns: Arc<Counter>,
+    max_batch_ns: Arc<Gauge>,
+    max_batch_jobs: Arc<Gauge>,
 }
 
 impl ExecMetrics {
     fn register(registry: &MetricsRegistry, threads: usize) -> Self {
+        let worker = |w: usize, what: &str| {
+            registry.counter(&format!("harness.worker.{w}.{what}"), Class::Observational)
+        };
         ExecMetrics {
             batches: registry.counter("harness.exec.batches", Class::Structural),
             jobs: registry.counter("harness.exec.jobs", Class::Structural),
@@ -154,38 +165,12 @@ impl ExecMetrics {
                 Class::Observational,
                 &[1e3, 1e4, 1e5, 1e6, 1e7, 1e8],
             ),
-            worker_jobs: (0..threads)
-                .map(|w| {
-                    registry.counter(&format!("harness.worker.{w}.jobs"), Class::Observational)
-                })
-                .collect(),
-            worker_busy_ns: (0..threads)
-                .map(|w| {
-                    registry.counter(&format!("harness.worker.{w}.busy_ns"), Class::Observational)
-                })
-                .collect(),
-            sim_cache_entries: registry.gauge("harness.cache.sim.entries", Class::Structural),
-            sim_cache_hits: registry.gauge("harness.cache.sim.hits", Class::Structural),
-            sim_cache_misses: registry.gauge("harness.cache.sim.misses", Class::Structural),
-            sim_cache_puts: registry.gauge("harness.cache.sim.puts", Class::Structural),
-            sim_cache_disk_append_bytes: registry
-                .gauge("harness.cache.sim.disk_append_bytes", Class::Structural),
-            sim_cache_lock_wait_ns: registry
-                .gauge("harness.cache.sim.lock_wait_ns", Class::Observational),
+            worker_jobs: (0..threads).map(|w| worker(w, "jobs")).collect(),
+            worker_busy_ns: (0..threads).map(|w| worker(w, "busy_ns")).collect(),
+            wall_ns: registry.counter("harness.exec.wall_ns", Class::Observational),
+            max_batch_ns: registry.gauge("harness.exec.max_batch_ns", Class::Observational),
+            max_batch_jobs: registry.gauge("harness.exec.max_batch_jobs", Class::Observational),
         }
-    }
-
-    /// Mirror the cache's counter snapshot into the registry gauges
-    /// (called on the calling thread after each batch, so the structural
-    /// gauges only ever see deterministic values).
-    fn sync_cache(&self, stats: CacheStats) {
-        self.sim_cache_entries.set(stats.entries as f64);
-        self.sim_cache_hits.set(stats.hits as f64);
-        self.sim_cache_misses.set(stats.misses as f64);
-        self.sim_cache_puts.set(stats.puts as f64);
-        self.sim_cache_disk_append_bytes
-            .set(stats.disk_append_bytes as f64);
-        self.sim_cache_lock_wait_ns.set(stats.lock_wait_ns as f64);
     }
 }
 
@@ -202,28 +187,24 @@ pub struct ParallelExecutor {
     threads: usize,
     cache: Option<SimCache>,
     progress: bool,
-    tracing: bool,
-    epoch: Instant,
-    counters: BatchCounters,
+    trace: Option<SpanLog>,
     sim_totals: Mutex<SimTotals>,
-    trace: Mutex<Vec<TraceEvent>>,
-    metrics: Option<ExecMetrics>,
+    metrics: ExecMetrics,
 }
 
 impl ParallelExecutor {
     /// An executor with `threads` workers (see [`resolve_threads`]) and no
-    /// cache.
+    /// cache. Its metric handles are registered in a private registry;
+    /// [`Self::with_metrics`] registers them in the caller's instead.
     pub fn new(threads: Option<usize>) -> Self {
+        let threads = resolve_threads(threads);
         ParallelExecutor {
-            threads: resolve_threads(threads),
+            threads,
             cache: None,
             progress: false,
-            tracing: false,
-            epoch: Instant::now(),
-            counters: BatchCounters::default(),
+            trace: None,
             sim_totals: Mutex::new(SimTotals::default()),
-            trace: Mutex::new(Vec::new()),
-            metrics: None,
+            metrics: ExecMetrics::register(&MetricsRegistry::new(), threads),
         }
     }
 
@@ -241,16 +222,21 @@ impl ParallelExecutor {
 
     /// Enable Chrome-trace event collection (see [`Self::write_trace`]).
     pub fn with_trace(mut self, tracing: bool) -> Self {
-        self.tracing = tracing;
+        self.trace = tracing.then(SpanLog::new);
         self
     }
 
-    /// Attach a metrics registry: the executor registers its
-    /// `harness.exec.*`, `harness.worker.*` and `harness.cache.sim.*`
-    /// metrics and updates them per batch. Without this call the hot path
-    /// pays nothing (an `Option` check per batch, not per job).
+    /// Count into `registry`: the executor registers its `harness.exec.*`
+    /// and `harness.worker.*` metrics there, in place of its private
+    /// registry, and indexes the attached cache's own counters as
+    /// `harness.cache.sim.*`. Call it after [`Self::with_cache`] and
+    /// before the first batch. Executors sharing a registry share these
+    /// counters, so each one's [`Self::telemetry`] reports their sum.
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
-        self.metrics = Some(ExecMetrics::register(registry, self.threads));
+        self.metrics = ExecMetrics::register(registry, self.threads);
+        if let Some(cache) = &self.cache {
+            cache.index_metrics(registry, "harness.cache.sim");
+        }
         self
     }
 
@@ -259,38 +245,28 @@ impl ParallelExecutor {
         self.threads
     }
 
-    /// The attached cache, if any.
-    pub fn cache(&self) -> Option<&SimCache> {
-        self.cache.as_ref()
-    }
-
-    /// Counter snapshot of the attached cache, if any.
+    /// Counter read-out of the attached cache, if any.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(SimCache::stats)
     }
 
-    /// Telemetry snapshot for the campaign so far: executor counters, the
-    /// aggregated simulator totals, and observational timings.
+    /// Telemetry for the campaign so far: a read-out of the executor's
+    /// metric handles, plus the aggregated simulator totals.
     pub fn telemetry(&self) -> Telemetry {
-        let jobs = self.counters.jobs.load(Ordering::Relaxed);
-        let (hits, misses) = match self.cache.as_ref() {
-            Some(c) => (c.hits(), c.misses()),
-            // Without a cache every job is simulated.
-            None => (0, jobs),
-        };
+        let m = &self.metrics;
         Telemetry {
-            batches: self.counters.batches.load(Ordering::Relaxed),
-            jobs,
-            cache_hits: hits,
-            cache_misses: misses,
+            batches: m.batches.get(),
+            jobs: m.jobs.get(),
+            cache_hits: m.cache_hits.get(),
+            cache_misses: m.cache_misses.get(),
             sim: self.sim_totals.lock().expect("totals poisoned").clone(),
             sites: None,
             timing: Timing {
                 threads: self.threads,
-                sim_ms: self.counters.sim_ns.load(Ordering::Relaxed) as f64 / 1e6,
-                wall_ms: self.counters.wall_ns.load(Ordering::Relaxed) as f64 / 1e6,
-                max_batch_ms: self.counters.max_batch_ns.load(Ordering::Relaxed) as f64 / 1e6,
-                max_batch_jobs: self.counters.max_batch_jobs.load(Ordering::Relaxed),
+                sim_ms: m.job_latency_ns.sum() / 1e6,
+                wall_ms: m.wall_ns.get() as f64 / 1e6,
+                max_batch_ms: m.max_batch_ns.get() / 1e6,
+                max_batch_jobs: m.max_batch_jobs.get() as u64,
             },
         }
     }
@@ -298,7 +274,10 @@ impl ParallelExecutor {
     /// Snapshot of the trace events collected so far (empty unless
     /// [`Self::with_trace`] enabled collection).
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace.lock().expect("trace poisoned").clone()
+        self.trace
+            .as_ref()
+            .map(SpanLog::records)
+            .unwrap_or_default()
     }
 
     /// Write the collected Chrome-trace timeline to `path`.
@@ -324,8 +303,8 @@ impl ParallelExecutor {
 impl Executor for ParallelExecutor {
     fn run_batch_stats(&self, jobs: Vec<SimJob<'_>>) -> Vec<JobOutcome> {
         let start = Instant::now();
-        let batch_ts_us = self.epoch.elapsed().as_secs_f64() * 1e6;
-        let batch_id = self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        let m = &self.metrics;
+        let batch_id = m.batches.get();
         let n = jobs.len();
         let mut outcomes: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
 
@@ -358,35 +337,19 @@ impl Executor for ParallelExecutor {
         // Fan the misses out across workers, observing progress and
         // (optionally) recording one trace slice per simulated job.
         let done = AtomicUsize::new(0);
-        let sim_ns = AtomicU64::new(0);
         let total = misses.len();
         let stats: Vec<ExecStats> = run_keyed_indexed(&misses, self.threads, |worker, &slot| {
-            let ts_us = self.epoch.elapsed().as_secs_f64() * 1e6;
             let t0 = Instant::now();
             let stats = SIM_SCRATCH.with(|s| jobs[slot].run_stats_with(&mut s.borrow_mut()));
             let dur = t0.elapsed();
-            sim_ns.fetch_add(dur.as_nanos() as u64, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                // Observational side only: worker attribution and latency
-                // are wall-clock facts, never part of the structural
-                // snapshot.
-                let ns = dur.as_nanos() as u64;
-                m.job_latency_ns.observe(ns as f64);
-                if let Some(w) = m.worker_jobs.get(worker) {
-                    w.inc();
-                }
-                if let Some(w) = m.worker_busy_ns.get(worker) {
-                    w.add(ns);
-                }
-            }
-            if self.tracing {
-                self.trace.lock().expect("trace poisoned").push(TraceEvent {
-                    name: format!("job {slot}"),
-                    cat: "job",
-                    ts_us,
-                    dur_us: dur.as_secs_f64() * 1e6,
-                    tid: worker as u64 + 1,
-                });
+            // Observational side only: latency and worker attribution are
+            // wall-clock facts, never part of the structural snapshot.
+            let ns = dur.as_nanos() as u64;
+            m.job_latency_ns.observe(ns as f64);
+            m.worker_jobs[worker].inc();
+            m.worker_busy_ns[worker].add(ns);
+            if let Some(log) = &self.trace {
+                log.record_interval(format!("job {slot}"), "job", worker as u64 + 1, t0, dur);
             }
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;
             if self.progress && (d.is_multiple_of(16) || d == total) {
@@ -416,39 +379,22 @@ impl Executor for ParallelExecutor {
             outcomes[slot] = Some(JobOutcome::observed(s));
         }
 
-        if let Some(m) = &self.metrics {
-            // Structural side, on the calling thread with count-derived
-            // values: identical whatever the worker count.
-            m.batches.inc();
-            m.jobs.add(n as u64);
-            m.cache_hits.add((n - misses.len()) as u64);
-            m.cache_misses.add(misses.len() as u64);
-            m.queue_depth.set(n as f64);
-            if let Some(cache) = &self.cache {
-                m.sync_cache(cache.stats());
-            }
-        }
+        // Structural side, on the calling thread with count-derived
+        // values: identical whatever the worker count. Every simulated
+        // job, sited ones included, is a cache miss.
+        m.batches.inc();
+        m.jobs.add(n as u64);
+        m.cache_hits.add((n - total) as u64);
+        m.cache_misses.add(total as u64);
+        m.queue_depth.set(n as f64);
 
-        let batch_ns = start.elapsed().as_nanos() as u64;
-        self.counters.jobs.fetch_add(n as u64, Ordering::Relaxed);
-        self.counters
-            .sim_ns
-            .fetch_add(sim_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.counters.wall_ns.fetch_add(batch_ns, Ordering::Relaxed);
-        self.counters
-            .max_batch_ns
-            .fetch_max(batch_ns, Ordering::Relaxed);
-        self.counters
-            .max_batch_jobs
-            .fetch_max(n as u64, Ordering::Relaxed);
-        if self.tracing {
-            self.trace.lock().expect("trace poisoned").push(TraceEvent {
-                name: format!("batch {batch_id} ({total}/{n} simulated)"),
-                cat: "batch",
-                ts_us: batch_ts_us,
-                dur_us: batch_ns as f64 / 1e3,
-                tid: 0,
-            });
+        let batch = start.elapsed();
+        m.wall_ns.add(batch.as_nanos() as u64);
+        m.max_batch_ns.max(batch.as_nanos() as f64);
+        m.max_batch_jobs.max(n as f64);
+        if let Some(log) = &self.trace {
+            let name = format!("batch {batch_id} ({total}/{n} simulated)");
+            log.record_interval(name, "batch", 0, start, batch);
         }
         outcomes
             .into_iter()
@@ -579,6 +525,31 @@ mod tests {
     }
 
     #[test]
+    fn sited_jobs_count_as_simulated_in_telemetry() {
+        // Regression: sited jobs simulate without a cache lookup, and
+        // telemetry once read its simulated-job count off the cache's
+        // lookup misses, so a sited batch reported 0 simulated jobs.
+        let machine = Machine::new(armv8_xgene1());
+        let exec = ParallelExecutor::new(Some(2)).with_cache(SimCache::in_memory());
+        exec.run_batch_stats(jobs(&machine, 4));
+        exec.run_batch_stats(jobs(&machine, 4));
+        let before = exec.telemetry();
+        exec.run_batch_stats(sited_jobs(&machine, 6));
+        let t = exec.telemetry();
+        assert_eq!(
+            t.cache_misses - before.cache_misses,
+            6,
+            "sited jobs simulated"
+        );
+        assert_eq!(t.sim.jobs_observed - before.sim.jobs_observed, 6);
+        assert_eq!(t.cache_misses, t.sim.jobs_observed);
+        assert_eq!(t.jobs, t.cache_hits + t.cache_misses);
+        // The cache counts lookups only: the unsited batches' eight.
+        let c = exec.cache_stats().expect("cache attached");
+        assert_eq!((c.hits, c.misses), (4, 4));
+    }
+
+    #[test]
     fn warm_cache_sited_profile_matches_cold_run() {
         let machine = Machine::new(armv8_xgene1());
         // Cold: sited campaign on a fresh executor.
@@ -639,8 +610,12 @@ mod tests {
         assert_eq!(snap.counter("harness.exec.cache_hits"), Some(20));
         assert_eq!(snap.counter("harness.exec.cache_misses"), Some(20));
         assert_eq!(snap.gauge("harness.exec.queue_depth"), Some(20.0));
-        assert_eq!(snap.gauge("harness.cache.sim.entries"), Some(20.0));
-        assert_eq!(snap.gauge("harness.cache.sim.puts"), Some(20.0));
+        // The registry indexes the cache's own counters: one count, read
+        // the same through the snapshot and through `cache_stats`.
+        assert_eq!(snap.counter("harness.cache.sim.entries"), Some(20));
+        assert_eq!(snap.counter("harness.cache.sim.puts"), Some(20));
+        assert_eq!(snap.counter("harness.cache.sim.hits"), Some(20));
+        assert_eq!(snap.counter("harness.cache.sim.misses"), Some(20));
         // Every simulated job landed in the latency histogram and on some
         // worker track.
         let lat = snap.get("harness.exec.job_latency_ns").expect("registered");
@@ -674,6 +649,25 @@ mod tests {
         let base = structural_json(1);
         for threads in [2, 4] {
             assert_eq!(structural_json(threads), base, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn thread_counts_parse_or_name_the_bad_value() {
+        assert_eq!(parse_thread_count("--threads", Some("4")), Ok(4));
+        assert_eq!(parse_thread_count("WMM_THREADS", Some("0")), Ok(0));
+        let bad = parse_thread_count("WMM_THREADS", Some("two")).unwrap_err();
+        assert!(
+            bad.contains("WMM_THREADS") && bad.contains("`two`"),
+            "{bad}"
+        );
+        let missing = parse_thread_count("--threads", None).unwrap_err();
+        assert!(missing.contains("--threads"), "{missing}");
+        for junk in ["", "-1", "2.5", " 2"] {
+            assert!(
+                parse_thread_count("--threads", Some(junk)).is_err(),
+                "{junk:?}"
+            );
         }
     }
 

@@ -1,12 +1,12 @@
 //! Chrome-trace export of a campaign's scheduler timeline.
 //!
 //! [`ParallelExecutor`](crate::ParallelExecutor) can record one
-//! [`TraceEvent`] per batch and per freshly simulated job; this module
-//! serialises those events to the Trace Event Format JSON that
-//! `chrome://tracing` and <https://ui.perfetto.dev> load directly. Each
-//! event is a complete ("ph": "X") slice: batches on track 0, jobs on one
-//! track per worker thread, timestamps in microseconds since the executor
-//! was created.
+//! [`TraceEvent`] per batch and per freshly simulated job in a
+//! [`wmm_obs::SpanLog`]; this module serialises those events to the Trace
+//! Event Format JSON that `chrome://tracing` and <https://ui.perfetto.dev>
+//! load directly. Each event is a complete ("ph": "X") slice: batches on
+//! track 0, jobs on one track per worker thread, timestamps in
+//! microseconds since the executor started tracing.
 //!
 //! Trace files are observational by construction — timings vary run to
 //! run — so they live outside the manifest/gate path entirely: a campaign
@@ -16,38 +16,12 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use wmm_obs::SpanRecord;
 use wmm_sim::stats::SiteStall;
 use wmmbench::json::{Json, ToJson};
 
-/// One complete slice on the trace timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Slice label, e.g. `"batch 3"` or `"job 17"`.
-    pub name: String,
-    /// Event category (`"batch"` or `"job"`), filterable in the viewer.
-    pub cat: &'static str,
-    /// Start, microseconds since the executor epoch.
-    pub ts_us: f64,
-    /// Duration, microseconds.
-    pub dur_us: f64,
-    /// Track: 0 for batch-level slices, `worker + 1` for job slices.
-    pub tid: u64,
-}
-
-impl ToJson for TraceEvent {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", self.name.to_json()),
-            ("cat", self.cat.to_json()),
-            ("ph", "X".to_json()),
-            ("ts", Json::Num(self.ts_us)),
-            ("dur", Json::Num(self.dur_us)),
-            ("pid", 1u64.to_json()),
-            ("tid", self.tid.to_json()),
-        ])
-    }
-}
+/// One complete slice on the trace timeline: a `wmm-obs` span record, so
+/// the executor's timeline and phase-level span logs are one type.
+pub use wmm_obs::SpanRecord as TraceEvent;
 
 /// Convert one sited run's per-site stall records into an
 /// instruction-granular timeline: one complete slice per executed
@@ -84,13 +58,11 @@ pub fn instruction_trace_events(
         .collect()
 }
 
-/// Convert completed [`SpanRecord`]s into trace slices, so phase-level
-/// spans (a [`wmm_obs::SpanLog`] sharing the executor's epoch convention)
-/// render on the same timeline as batch and job slices. The span's own
-/// category string is carried through a small static table — the trace
-/// layer keeps `cat` a `&'static str` — with unrecognised categories
-/// rendered as `"span"`.
-pub fn span_trace_events(spans: &[SpanRecord]) -> Vec<TraceEvent> {
+/// Prepare completed phase-level spans (a [`wmm_obs::SpanLog`]) for the
+/// timeline that batch and job slices render on: categories the viewer
+/// filters by (`report`, `campaign`, `phase`, `batch`, `job`) are kept,
+/// any other renders as `"span"`.
+pub fn span_trace_events(spans: &[TraceEvent]) -> Vec<TraceEvent> {
     fn static_cat(cat: &str) -> &'static str {
         match cat {
             "report" => "report",
@@ -104,11 +76,8 @@ pub fn span_trace_events(spans: &[SpanRecord]) -> Vec<TraceEvent> {
     spans
         .iter()
         .map(|s| TraceEvent {
-            name: s.name.clone(),
             cat: static_cat(s.cat),
-            ts_us: s.ts_us,
-            dur_us: s.dur_us,
-            tid: s.tid,
+            ..s.clone()
         })
         .collect()
 }
@@ -127,11 +96,19 @@ pub fn merge_chronological(streams: &[&[TraceEvent]]) -> Vec<TraceEvent> {
 
 /// Serialise events to a Trace Event Format JSON document.
 pub fn to_chrome_json(events: &[TraceEvent]) -> String {
+    let slice = |e: &TraceEvent| {
+        Json::obj(vec![
+            ("name", e.name.to_json()),
+            ("cat", e.cat.to_json()),
+            ("ph", "X".to_json()),
+            ("ts", Json::Num(e.ts_us)),
+            ("dur", Json::Num(e.dur_us)),
+            ("pid", 1u64.to_json()),
+            ("tid", e.tid.to_json()),
+        ])
+    };
     let json = Json::obj(vec![
-        (
-            "traceEvents",
-            Json::Arr(events.iter().map(ToJson::to_json).collect()),
-        ),
+        ("traceEvents", Json::Arr(events.iter().map(slice).collect())),
         ("displayTimeUnit", "ms".to_json()),
     ]);
     let mut text = json.to_string_pretty();
@@ -257,14 +234,14 @@ mod tests {
     #[test]
     fn zero_duration_spans_survive_export() {
         let spans = vec![
-            SpanRecord {
+            TraceEvent {
                 name: "instant".into(),
                 cat: "report",
                 ts_us: 5.0,
                 dur_us: 0.0,
                 tid: 0,
             },
-            SpanRecord {
+            TraceEvent {
                 name: "weird cat".into(),
                 cat: "test",
                 ts_us: 5.0,
@@ -305,7 +282,7 @@ mod tests {
             instruction_trace_events(&[site(0, 0, 4000.0), site(0, 1, 4000.0)], 1.0, |t, i| {
                 format!("t{t}:i{i}")
             });
-        let spans = span_trace_events(&[SpanRecord {
+        let spans = span_trace_events(&[TraceEvent {
             name: "phase".into(),
             cat: "report",
             ts_us: 1.0,

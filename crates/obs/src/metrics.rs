@@ -1,5 +1,5 @@
-//! Harness-wide metrics: a zero-cost-when-disabled registry of counters,
-//! gauges and fixed-bucket histograms.
+//! Harness-wide metrics: a registry of counters, gauges and fixed-bucket
+//! histograms.
 //!
 //! Every metric is registered by name in a [`MetricsRegistry`] and carries
 //! a [`Class`]:
@@ -15,8 +15,10 @@
 //!   vary run to run and are excluded from every determinism comparison.
 //!
 //! Handles returned by the registry are `Arc`s over lock-free atomics, so
-//! hot paths pay one relaxed atomic op per update and nothing at all when
-//! no registry is attached (the disabled path is an `Option` check).
+//! hot paths pay one relaxed atomic op per update. A layer that counts
+//! into its own handles (the simulation cache) can have them indexed in a
+//! registry ([`MetricsRegistry::index_counter`]), so the registry shows the
+//! one count rather than a copy of it.
 //!
 //! Snapshots are name-sorted (the registry is a `BTreeMap`), serialise to
 //! JSON through the workspace [`Json`] layer, and export to the Prometheus
@@ -104,20 +106,13 @@ impl Gauge {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Add `v` to the gauge (compare-and-swap loop; bit-exact only when
-    /// updates never race, which structural call sites guarantee).
-    pub fn add(&self, v: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+    /// Raise the gauge to `v` if `v` is larger: a running maximum.
+    pub fn max(&self, v: f64) {
+        let _ = self
+            .bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                (v > f64::from_bits(cur)).then_some(v.to_bits())
+            });
     }
 
     /// Current value.
@@ -162,19 +157,11 @@ impl Histogram {
             .unwrap_or(self.bounds.len());
         self.buckets[slot].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        let _ = self
+            .sum_bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                Some((f64::from_bits(cur) + v).to_bits())
+            });
     }
 
     /// The configured (ascending) bucket upper bounds.
@@ -231,7 +218,7 @@ struct Entry {
 ///
 /// Registration is idempotent: asking for an existing name with the same
 /// kind and class returns the existing handle, so independent layers
-/// (executor, cache sync, solver) can share metrics without coordination.
+/// (executor, solver) can share metrics without coordination.
 ///
 /// # Panics
 ///
@@ -282,6 +269,17 @@ impl MetricsRegistry {
             Metric::Counter(c) => c,
             _ => unreachable!("register checked the kind"),
         }
+    }
+
+    /// Index an existing counter handle under `name`, so a layer that owns
+    /// its counters shows them here without a second copy. A name already
+    /// registered (same kind and class, else this panics) is re-pointed at
+    /// `handle`.
+    pub fn index_counter(&self, name: &str, class: Class, handle: &Arc<Counter>) {
+        let metric = Metric::Counter(Arc::clone(handle));
+        self.register(name, class, || metric.clone());
+        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        inner.insert(name.to_string(), Entry { class, metric });
     }
 
     /// Register (or fetch) a gauge.
@@ -660,8 +658,10 @@ mod tests {
 
         let g = reg.gauge("a.depth", Class::Structural);
         g.set(2.5);
-        g.add(-0.5);
-        assert_eq!(g.get(), 2.0);
+        g.max(2.0);
+        assert_eq!(g.get(), 2.5);
+        g.max(3.0);
+        assert_eq!(g.get(), 3.0);
 
         let h = reg.histogram("a.lat", Class::Observational, &[1.0, 10.0]);
         for v in [0.5, 5.0, 50.0, 10.0] {
@@ -671,6 +671,23 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 65.5);
         assert_eq!(reg.len(), 3);
+    }
+
+    #[test]
+    fn indexed_counter_is_the_owners_handle() {
+        let reg = MetricsRegistry::new();
+        let owned = Arc::new(Counter::default());
+        owned.add(2);
+        reg.index_counter("cache.hits", Class::Structural, &owned);
+        owned.inc();
+        assert_eq!(reg.snapshot().counter("cache.hits"), Some(3));
+        // Later registrations of the name share the indexed handle.
+        reg.counter("cache.hits", Class::Structural).inc();
+        assert_eq!(owned.get(), 4);
+        // Re-indexing re-points the name.
+        let other = Arc::new(Counter::default());
+        reg.index_counter("cache.hits", Class::Structural, &other);
+        assert_eq!(reg.snapshot().counter("cache.hits"), Some(0));
     }
 
     #[test]

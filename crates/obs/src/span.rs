@@ -2,11 +2,11 @@
 //! Chrome-trace export.
 //!
 //! A [`SpanLog`] is a shared, append-only list of completed
-//! [`SpanRecord`]s, timestamped in microseconds since the log's creation
-//! (the same epoch convention the executor's batch/job trace uses, so the
-//! two streams merge onto one timeline). [`SpanLog::span`] returns a
-//! [`SpanGuard`] that records the interval when dropped — callers wrap a
-//! phase in a guard and never touch clocks directly:
+//! [`SpanRecord`]s, timestamped in microseconds since the log's creation.
+//! The harness executor records its batch/job timeline into a log of its
+//! own, so the two streams merge onto one timeline. [`SpanLog::span`]
+//! returns a [`SpanGuard`] that records the interval when dropped —
+//! callers wrap a phase in a guard and never touch clocks directly:
 //!
 //! ```
 //! let log = wmm_obs::SpanLog::new();
@@ -22,7 +22,7 @@
 //! of every artifact.
 
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One completed span.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,12 +62,6 @@ impl SpanLog {
         }
     }
 
-    /// Microseconds since the log epoch.
-    #[must_use]
-    pub fn now_us(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64() * 1e6
-    }
-
     /// Open a span on track 0; it records itself when the guard drops.
     #[must_use = "the span is recorded when the guard drops"]
     pub fn span(&self, name: impl Into<String>, cat: &'static str) -> SpanGuard<'_> {
@@ -82,9 +76,27 @@ impl SpanLog {
             name: name.into(),
             cat,
             tid,
-            ts_us: self.now_us(),
-            t0: Instant::now(),
+            start: Instant::now(),
         }
+    }
+
+    /// Record a span on track `tid` that the caller already timed: it
+    /// started at `start` and lasted `dur`.
+    pub fn record_interval(
+        &self,
+        name: impl Into<String>,
+        cat: &'static str,
+        tid: u64,
+        start: Instant,
+        dur: Duration,
+    ) {
+        self.record(SpanRecord {
+            name: name.into(),
+            cat,
+            ts_us: start.saturating_duration_since(self.epoch).as_secs_f64() * 1e6,
+            dur_us: dur.as_secs_f64() * 1e6,
+            tid,
+        });
     }
 
     /// Append an already-built record (for spans reconstructed from other
@@ -118,19 +130,18 @@ pub struct SpanGuard<'l> {
     name: String,
     cat: &'static str,
     tid: u64,
-    ts_us: f64,
-    t0: Instant,
+    start: Instant,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        self.log.record(SpanRecord {
-            name: std::mem::take(&mut self.name),
-            cat: self.cat,
-            ts_us: self.ts_us,
-            dur_us: self.t0.elapsed().as_secs_f64() * 1e6,
-            tid: self.tid,
-        });
+        self.log.record_interval(
+            std::mem::take(&mut self.name),
+            self.cat,
+            self.tid,
+            self.start,
+            self.start.elapsed(),
+        );
     }
 }
 
